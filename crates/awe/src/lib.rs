@@ -64,7 +64,4 @@ pub mod moments;
 
 pub use measure::{gain_at, phase_margin, unity_gain_frequency};
 pub use model::{AweError, ReducedModel};
-pub use moments::{
-    analyze, analyze_batch, analyze_batch_with, analyze_shifted, analyze_with, moments,
-    moments_with, AweEngine, Moments, SPARSE_DIM_MIN,
-};
+pub use moments::{analyze, analyze_batch, analyze_batch_with, analyze_with, AweEngine};

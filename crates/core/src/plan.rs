@@ -208,10 +208,9 @@ struct JigPlan {
     diode_bind: Vec<usize>,
     analyses: Vec<AnalysisPlan>,
     ckt_template: SizedCircuit,
-    sys_template: LinearSystem,
-    /// Analysis-engine template: dense for small jigs, otherwise the
-    /// sparse engine with its **symbolic factorization already done** —
-    /// slots clone it, so per move only a numeric refactor runs.
+    /// Analysis-engine template with its **symbolic factorization
+    /// already done** — slots clone it, so per move only a numeric
+    /// refactor runs.
     engine_template: AweEngine,
 }
 
@@ -378,7 +377,7 @@ impl EvalPlan {
                 jigs[k].analyses.extend(analyses);
             } else {
                 jig_sources.push(&jig.netlist);
-                let engine_template = AweEngine::for_system(&sys);
+                let engine_template = AweEngine::for_system(&sys).ok()?;
                 jigs.push(JigPlan {
                     bindings,
                     mos_bind,
@@ -386,7 +385,6 @@ impl EvalPlan {
                     diode_bind,
                     analyses,
                     ckt_template: ckt,
-                    sys_template: sys,
                     engine_template,
                 });
             }
@@ -568,7 +566,6 @@ fn bindings_for(
 #[derive(Debug, Clone)]
 struct JigSlot {
     ckt: SizedCircuit,
-    sys: LinearSystem,
     /// Cloned from the plan's template: symbolic structure shared, value
     /// arrays private to this slot.
     engine: AweEngine,
@@ -752,7 +749,6 @@ impl Slot {
                 .iter()
                 .map(|j| JigSlot {
                     ckt: j.ckt_template.clone(),
-                    sys: j.sys_template.clone(),
                     engine: j.engine_template.clone(),
                     mos_ops: Vec::new(),
                     bjt_ops: Vec::new(),
@@ -1066,24 +1062,19 @@ impl JigSlot {
         self.diode_ops.clear();
         self.diode_ops
             .extend(jp.diode_bind.iter().map(|&i| diode_ops[i]));
-        // Sparse engines re-stamp element values straight into the
-        // engine's slot arrays — no dense matrix is touched on the hot
-        // path. (Slot replay is bit-identical to dense stamping, so the
-        // cold path, which gathers from its dense restamp, factors the
-        // same numbers.) Dense engines keep the dense restamp.
-        if let Some((map, g_vals, c_vals)) = self.engine.sparse_parts_mut() {
-            map.stamp(
-                &self.ckt,
-                &self.mos_ops,
-                &self.bjt_ops,
-                &self.diode_ops,
-                g_vals,
-                c_vals,
-            );
-        } else {
-            self.sys
-                .restamp(&self.ckt, &self.mos_ops, &self.bjt_ops, &self.diode_ops);
-        }
+        // Element values are re-stamped straight into the engine's slot
+        // arrays — no dense matrix is touched on the hot path. (Slot
+        // replay is bit-identical to dense stamping, so the cold path,
+        // which gathers from its dense stamp, factors the same numbers.)
+        let (map, g_vals, c_vals) = self.engine.sparse_parts_mut();
+        map.stamp(
+            &self.ckt,
+            &self.mos_ops,
+            &self.bjt_ops,
+            &self.diode_ops,
+            g_vals,
+            c_vals,
+        );
         // One factorization serves every analysis of the jig; each
         // fitted model is bit-identical to a standalone `analyze_with`.
         let jobs: Vec<(&[f64], OutputSelector)> = jp
@@ -1091,7 +1082,7 @@ impl JigSlot {
             .iter()
             .map(|a| (a.b.as_slice(), a.out))
             .collect();
-        match oblx_awe::analyze_batch_with(&mut self.engine, &self.sys, &jobs, awe_order) {
+        match oblx_awe::analyze_batch_with(&mut self.engine, &jobs, awe_order) {
             Ok(fitted) => {
                 for (a, model) in jp.analyses.iter().zip(fitted) {
                     models[a.flat] = Some(model);
@@ -1237,38 +1228,5 @@ mod tests {
         assert_eq!(plan.analysis_names.len(), 3, "three analyses expected");
         assert_eq!(plan.jigs.len(), 1, "structurally identical jigs merged");
         assert_eq!(plan.jigs[0].analyses.len(), 3);
-    }
-
-    /// Engine crossover: the Simple OTA jig (dim 24) must stay on the
-    /// dense path — its synthesis results are bit-identical to the
-    /// pre-sparse code — while the Two-Stage jig (dim 29) gets the
-    /// sparse engine with its symbolic factorization done at
-    /// plan-compile time.
-    #[test]
-    fn engine_crossover_matches_bench_dims() {
-        let ota = compile(
-            bench_suite::by_name("Simple OTA")
-                .unwrap()
-                .problem()
-                .unwrap(),
-        )
-        .unwrap();
-        let plan = EvalPlan::build(&ota, AWE_ORDER).expect("plannable");
-        assert!(
-            plan.jigs.iter().all(|j| !j.engine_template.is_sparse()),
-            "Simple OTA must stay dense"
-        );
-        let ts = compile(
-            bench_suite::by_name("Two-Stage")
-                .unwrap()
-                .problem()
-                .unwrap(),
-        )
-        .unwrap();
-        let plan = EvalPlan::build(&ts, AWE_ORDER).expect("plannable");
-        assert!(
-            plan.jigs.iter().all(|j| j.engine_template.is_sparse()),
-            "Two-Stage must use the sparse engine"
-        );
     }
 }

@@ -22,8 +22,8 @@
 //! a numerically awful (but structurally fine) pivot can slip through;
 //! the numeric refactor therefore checks every pivot exactly like the
 //! dense path (`!(mag > 0.0) || !finite` → [`SingularMatrixError`]) and
-//! feeds the same pivot-ratio conditioning telemetry, and callers fall
-//! back to dense partial-pivoted LU on failure.
+//! feeds the same pivot-ratio conditioning telemetry. Callers treat
+//! that error as a singular matrix; nothing re-orders or retries.
 
 use crate::lu::SingularMatrixError;
 use std::collections::HashMap;

@@ -58,6 +58,14 @@ pub enum DcError {
         /// Residual at the best iterate (A).
         residual: f64,
     },
+    /// A transient time step did not converge, even at the smallest
+    /// sub-step.
+    StepNoConvergence {
+        /// End time of the failing (sub-)step (s).
+        time: f64,
+        /// KCL residual at the last iterate (A).
+        residual: f64,
+    },
 }
 
 impl fmt::Display for DcError {
@@ -67,6 +75,10 @@ impl fmt::Display for DcError {
             DcError::NoConvergence { residual } => {
                 write!(f, "newton did not converge (residual {residual:.3e} A)")
             }
+            DcError::StepNoConvergence { time, residual } => write!(
+                f,
+                "transient step to t = {time:.3e} s did not converge (residual {residual:.3e} A)"
+            ),
         }
     }
 }

@@ -219,9 +219,8 @@ impl LinearSystem {
     /// must have the same structure (nodes, branches, device lists) the
     /// system was built from; source and node name tables are untouched.
     ///
-    /// This is the hot path of incremental cost evaluation: a jig whose
-    /// device operating points changed is re-stamped and re-analyzed
-    /// without rebuilding name maps or reallocating matrices.
+    /// The incremental cost evaluator does not come here: it re-stamps
+    /// straight into sparse slot arrays via [`SparseStampMap::stamp`].
     ///
     /// # Panics
     ///

@@ -11,12 +11,18 @@
 //! Integration is backward Euler with per-step Newton iteration;
 //! device capacitances use the SPICE2-style incremental (Meyer)
 //! treatment: evaluated at the previous solution and stamped as linear
-//! companion conductances for the step.
+//! companion conductances for the step. A grid step whose Newton
+//! iteration fails is retried from its start as two half steps,
+//! recursively, up to a fixed depth; only grid points are recorded.
 
 use crate::assemble::SizedCircuit;
 use crate::dc::{linearize_at, solve_dc_with, DcError, DcOptions};
 use crate::elements::LinElement;
 use oblx_linalg::{Lu, Mat};
+
+/// How many times a grid step may be halved after Newton failures
+/// before the run gives up: sub-steps down to `dt / 256`.
+const MAX_HALVINGS: u32 = 8;
 
 /// Options for a transient run.
 #[derive(Debug, Clone, Copy)]
@@ -94,9 +100,9 @@ impl Waveforms {
 ///
 /// # Errors
 ///
-/// [`DcError`] when the initial operating point cannot be solved or a
-/// time step fails to converge (reported as
-/// [`DcError::NoConvergence`]).
+/// [`DcError`] when the initial operating point cannot be solved, or
+/// [`DcError::StepNoConvergence`] when a time step fails to converge
+/// even at the smallest sub-step.
 pub fn step_response(
     circuit: &SizedCircuit,
     source: &str,
@@ -143,33 +149,71 @@ pub fn step_response(
 
     for step in 1..=steps {
         let t = step as f64 * opts.dt;
-        let x_prev = x.clone();
-        // Newton iterations for this time point.
-        let mut converged = false;
-        for _ in 0..opts.max_iters {
-            let (mut jac, mut f) = linearize_at(&stepped, &x, 1.0, opts.gmin);
-            stamp_caps_be(&stepped, &x, &x_prev, opts.dt, &mut jac, &mut f);
-            let lu = Lu::factor(jac).map_err(|_| DcError::Singular)?;
-            let rhs: Vec<f64> = f.iter().map(|v| -v).collect();
-            let dx = lu.solve(&rhs);
-            let mut max_dv = 0.0f64;
-            for (xi, di) in x.iter_mut().zip(dx.iter()) {
-                let d = di.clamp(-1.0, 1.0);
-                *xi += d;
-                max_dv = max_dv.max(d.abs());
-            }
-            if max_dv < opts.vtol {
-                converged = true;
-                break;
-            }
-        }
-        if !converged {
-            return Err(DcError::NoConvergence { residual: t });
-        }
+        advance(&stepped, &mut x, t - opts.dt, opts.dt, opts, 0)?;
         out.t.push(t);
         out.v.push(x[..n].to_vec());
     }
     Ok(out)
+}
+
+/// Advances `x` from time `t0` by `h`. When Newton fails to converge,
+/// the step is retried from its start as two half steps, recursively,
+/// until `depth` reaches [`MAX_HALVINGS`].
+fn advance(
+    circuit: &SizedCircuit,
+    x: &mut [f64],
+    t0: f64,
+    h: f64,
+    opts: &TranOptions,
+    depth: u32,
+) -> Result<(), DcError> {
+    let x_prev = x.to_vec();
+    if newton_step(circuit, x, &x_prev, h, opts)? {
+        return Ok(());
+    }
+    if depth == MAX_HALVINGS {
+        let (mut jac, mut f) = linearize_at(circuit, x, 1.0, opts.gmin);
+        stamp_caps_be(circuit, x, &x_prev, h, &mut jac, &mut f);
+        let residual = f[..circuit.nodes.len()]
+            .iter()
+            .fold(0.0f64, |a, &b| a.max(b.abs()));
+        return Err(DcError::StepNoConvergence {
+            time: t0 + h,
+            residual,
+        });
+    }
+    x.copy_from_slice(&x_prev);
+    advance(circuit, x, t0, h / 2.0, opts, depth + 1)?;
+    advance(circuit, x, t0 + h / 2.0, h / 2.0, opts, depth + 1)
+}
+
+/// Newton iterations for one backward-Euler step of length `h` from
+/// `x_prev`, starting at `x`; `true` once the update falls below
+/// `vtol`.
+fn newton_step(
+    circuit: &SizedCircuit,
+    x: &mut [f64],
+    x_prev: &[f64],
+    h: f64,
+    opts: &TranOptions,
+) -> Result<bool, DcError> {
+    for _ in 0..opts.max_iters {
+        let (mut jac, mut f) = linearize_at(circuit, x, 1.0, opts.gmin);
+        stamp_caps_be(circuit, x, x_prev, h, &mut jac, &mut f);
+        let lu = Lu::factor(jac).map_err(|_| DcError::Singular)?;
+        let rhs: Vec<f64> = f.iter().map(|v| -v).collect();
+        let dx = lu.solve(&rhs);
+        let mut max_dv = 0.0f64;
+        for (xi, di) in x.iter_mut().zip(dx.iter()) {
+            let d = di.clamp(-1.0, 1.0);
+            *xi += d;
+            max_dv = max_dv.max(d.abs());
+        }
+        if max_dv < opts.vtol {
+            return Ok(true);
+        }
+    }
+    Ok(false)
 }
 
 /// Backward-Euler companion stamps for every capacitance: linear
@@ -337,6 +381,51 @@ c1 out 0 10p
         );
         // Output must fall toward the triode floor.
         assert!(w.final_value(out).unwrap() < 1.0);
+    }
+
+    /// A step that cannot converge reports where it failed and the KCL
+    /// residual it was left with, not the time in the residual field.
+    #[test]
+    fn non_convergence_reports_time_and_kcl_residual() {
+        let src = "\
+.jig j
+vdd vdd 0 5
+vg g 0 0
+m1 out g 0 0 nmos w=100u l=2u
+r1 vdd out 100k
+c1 out 0 10p
+.endjig
+";
+        let ckt = circuit(src, Some(ProcessDeck::C2Level1));
+        let dt = 2e-9;
+        // One Newton iteration can never confirm convergence, so every
+        // sub-step fails down to the smallest.
+        let err = step_response(
+            &ckt,
+            "vg",
+            2.0,
+            &TranOptions {
+                dt,
+                t_stop: 10.0 * dt,
+                max_iters: 1,
+                ..TranOptions::default()
+            },
+        )
+        .unwrap_err();
+        let DcError::StepNoConvergence { time, residual } = err else {
+            panic!("expected StepNoConvergence, got {err:?}");
+        };
+        assert_eq!(time, dt / f64::from(1u32 << MAX_HALVINGS));
+        // The gate moved by the 1 V step clamp, not the full 2 V, so
+        // the device current (mA scale) is far from balanced.
+        assert!(
+            residual > 1e-6 && residual.is_finite(),
+            "residual {residual:e}"
+        );
+        assert!(
+            err.to_string().contains(&format!("t = {time:.3e} s")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -115,8 +115,6 @@ pub enum Counter {
     SparseFill,
     /// Sparse numeric refactorizations performed.
     SparseRefactor,
-    /// Sparse solves that fell back to the dense LU path (bad pivot).
-    SparseFallback,
     /// HTTP requests accepted for handling by the API edge.
     HttpRequest,
     /// HTTP requests answered with a 4xx status (client errors).
@@ -169,7 +167,6 @@ const COUNTER_NAMES: [&str; Counter::Count as usize] = [
     "sparse_nnz",
     "sparse_fill",
     "sparse_refactor",
-    "sparse_fallback",
     "http_request",
     "http_4xx",
     "http_5xx",
@@ -788,10 +785,8 @@ impl Snapshot {
         if self.counter("sparse_nnz") > 0 {
             let _ = writeln!(
                 out,
-                "sparse: {} refactors, {} dense fallbacks, nnz {} -> fill {} \
-                 (summed over symbolic runs)",
+                "sparse: {} refactors, nnz {} -> fill {} (summed over symbolic runs)",
                 self.counter("sparse_refactor"),
-                self.counter("sparse_fallback"),
                 self.counter("sparse_nnz"),
                 self.counter("sparse_fill"),
             );

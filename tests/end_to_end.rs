@@ -1,19 +1,19 @@
 //! End-to-end synthesis: description text → ASTRX → OBLX → independent
 //! verification, on the real benchmark suite.
+//!
+//! The Table 2 quality gate lives here: each of the paper's five Table 2
+//! circuits is synthesized from a fixed seed and budget, and its design
+//! must stay dc-correct and its predictions must match the simulator
+//! within the row's bounds. A change that keeps determinism but makes
+//! designs or predictions worse fails here.
 
 use astrx_oblx::bench_suite;
-use astrx_oblx::oblx::{synthesize, SynthesisOptions};
+use astrx_oblx::oblx::{synthesize, SynthesisOptions, SynthesisResult};
 use astrx_oblx::verify::verify_result;
+use astrx_oblx::CompiledProblem;
 use oblx_netlist::SpecKind;
 
-fn run(
-    name: &str,
-    moves: usize,
-    seed: u64,
-) -> (
-    astrx_oblx::CompiledProblem,
-    astrx_oblx::oblx::SynthesisResult,
-) {
+fn run(name: &str, moves: usize, seed: u64) -> (CompiledProblem, SynthesisResult) {
     let b = bench_suite::by_name(name).expect("benchmark exists");
     let compiled = astrx_oblx::astrx::compile(b.problem().expect("parses")).expect("compiles");
     let result = synthesize(
@@ -29,12 +29,96 @@ fn run(
     (compiled, result)
 }
 
+/// One row of the Table 2 gate: a fixed run and the bounds its design
+/// must meet.
+struct Row {
+    bench: &'static str,
+    seed: u64,
+    moves: usize,
+    /// Bound on the worst KCL residual at the selected design (A).
+    kcl_max: f64,
+    /// Bound on the worst relative OBLX-vs-simulation error over all
+    /// goals.
+    worst_error: f64,
+}
+
+/// The five Table 2 circuits. Where a row folds in an older test, it
+/// keeps that test's run and bounds; the others were set from their
+/// measured values: the KCL bound at ten times the residual, rounded up
+/// to a decade, and the error bound at 1.1 times the worst error, but
+/// at least 1%.
+const TABLE2: [Row; 5] = [
+    Row {
+        bench: "Simple OTA",
+        seed: 1,
+        moves: 15_000,
+        kcl_max: 1e-8,
+        worst_error: 0.05,
+    },
+    // A crossing-region outlier: at this seed's design OBLX reads
+    // gbw 25.2 MHz and pm 73.0° where the simulator measures 15.0 MHz
+    // and 12.4°. The bound keeps that error from growing; it does not
+    // accept it.
+    Row {
+        bench: "OTA",
+        seed: 1,
+        moves: 12_000,
+        kcl_max: 1e-9,
+        worst_error: 5.4,
+    },
+    // The older test's 25% bound, set for the crossing-derived PM row.
+    Row {
+        bench: "Two-Stage",
+        seed: 2,
+        moves: 12_000,
+        kcl_max: 1e-7,
+        worst_error: 0.25,
+    },
+    Row {
+        bench: "Folded Cascode",
+        seed: 1,
+        moves: 12_000,
+        kcl_max: 1e-10,
+        worst_error: 0.01,
+    },
+    Row {
+        bench: "BiCMOS Two-Stage",
+        seed: 1,
+        moves: 8_000,
+        kcl_max: 1e-8,
+        worst_error: 0.01,
+    },
+];
+
+/// Runs the Table 2 row of `bench` and checks it against its bounds.
+fn table2_row(bench: &str) -> (CompiledProblem, SynthesisResult) {
+    let row = TABLE2
+        .iter()
+        .find(|r| r.bench == bench)
+        .expect("Table 2 row exists");
+    let (compiled, result) = run(row.bench, row.moves, row.seed);
+    // The relaxed-dc formulation must end dc-correct.
+    assert!(
+        result.kcl_max < row.kcl_max,
+        "{bench}: kcl = {:.3e} A, bound {:.0e}",
+        result.kcl_max,
+        row.kcl_max
+    );
+    let verified = verify_result(&compiled, &result).expect("verifies");
+    let worst = verified.worst_relative_error();
+    assert!(
+        worst < row.worst_error,
+        "{bench}: worst OBLX-vs-sim error {:.2}% (bound {:.0}%), rows {:?}",
+        100.0 * worst,
+        100.0 * row.worst_error,
+        verified.rows
+    );
+    (compiled, result)
+}
+
 #[test]
 fn simple_ota_synthesis_meets_most_constraints() {
-    let (compiled, result) = run("Simple OTA", 15_000, 1);
-
-    // The relaxed-dc formulation must end dc-correct.
-    assert!(result.kcl_max < 1e-8, "kcl = {:.3e}", result.kcl_max);
+    let (compiled, result) = table2_row("Simple OTA");
 
     // Count met constraints at the synthesized point.
     let mut met = 0;
@@ -57,40 +141,28 @@ fn simple_ota_synthesis_meets_most_constraints() {
         met * 10 >= total * 8,
         "at least 80% of constraints met: {met}/{total}"
     );
+}
 
-    // Verification through the full simulator agrees with AWE almost
-    // exactly (the paper's accuracy claim).
-    let verified = verify_result(&compiled, &result).expect("verifies");
-    assert!(
-        verified.worst_relative_error() < 0.05,
-        "worst OBLX-vs-sim error {:.2}%",
-        100.0 * verified.worst_relative_error()
-    );
+#[test]
+fn ota_synthesis_meets_table2_bounds() {
+    table2_row("OTA");
 }
 
 #[test]
 fn two_stage_synthesis_converges_dc_and_verifies() {
-    let (compiled, result) = run("Two-Stage", 12_000, 2);
-    assert!(result.kcl_max < 1e-7, "kcl = {:.3e}", result.kcl_max);
-    let verified = verify_result(&compiled, &result).expect("verifies");
-    // Small-signal rows must closely agree; expression-based rows are
-    // exact by construction. Allow a slightly looser bound than the
-    // Simple OTA since the Miller pole-splitting is more sensitive.
-    for (name, pred, sim) in &verified.rows {
-        let rel = (pred - sim).abs() / sim.abs().max(1e-12);
-        assert!(
-            rel < 0.25,
-            "{name}: OBLX {pred:.4e} vs sim {sim:.4e} ({:.1}% off)",
-            rel * 100.0
-        );
-    }
+    table2_row("Two-Stage");
+}
+
+#[test]
+fn folded_cascode_synthesis_meets_table2_bounds() {
+    table2_row("Folded Cascode");
 }
 
 #[test]
 fn bicmos_synthesis_runs_with_bipolar_devices() {
     // The paper's protocol is 5–10 annealing runs with the best kept;
-    // two short runs suffice here.
-    let (compiled, a) = run("BiCMOS Two-Stage", 8_000, 1);
+    // two short runs suffice here. The first is the Table 2 row.
+    let (compiled, a) = table2_row("BiCMOS Two-Stage");
     let (_, b) = run("BiCMOS Two-Stage", 8_000, 3);
     let result = if a.best_cost <= b.best_cost { a } else { b };
     assert!(result.evaluations > 5_000);
