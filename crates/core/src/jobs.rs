@@ -619,31 +619,20 @@ pub fn load_checkpoint(path: &Path) -> Option<SynthesisCheckpoint> {
     checkpoint_from_json(&text).ok()
 }
 
-/// The checkpoint file path for one per-seed run.
-pub fn checkpoint_path(dir: &Path, seed: u64) -> PathBuf {
-    dir.join(format!("seed_{seed}.ckpt.json"))
-}
-
-/// The fence-qualified checkpoint path for one per-seed run. Fence 0 is
-/// the legacy unfenced name; positive fences embed the token in the
-/// filename (`seed_<s>.f<fence>.ckpt.json`). The token makes stale
+/// The checkpoint file path of one per-seed run under fencing token
+/// `fence`: `seed_<s>.f<fence>.ckpt.json`. The token makes stale
 /// writers harmless on shared storage: a claim-holder that lost its
 /// lease keeps writing its *own* fence's file, which can never shadow
 /// the file of the higher-fence holder that took over — readers always
 /// prefer the highest fence present ([`load_latest_checkpoint`]).
 pub fn fenced_checkpoint_path(dir: &Path, seed: u64, fence: u64) -> PathBuf {
-    if fence == 0 {
-        checkpoint_path(dir, seed)
-    } else {
-        dir.join(format!("seed_{seed}.f{fence}.ckpt.json"))
-    }
+    dir.join(format!("seed_{seed}.f{fence}.ckpt.json"))
 }
 
-/// Fence tokens that have a checkpoint file for `seed` in `dir` (0 for
-/// the legacy unfenced file), in no particular order.
+/// Fence tokens that have a checkpoint file for `seed` in `dir`, in no
+/// particular order.
 fn checkpoint_fences(dir: &Path, seed: u64) -> Vec<u64> {
-    let legacy = format!("seed_{seed}.ckpt.json");
-    let fenced_prefix = format!("seed_{seed}.f");
+    let prefix = format!("seed_{seed}.f");
     let Ok(entries) = std::fs::read_dir(dir) else {
         return Vec::new();
     };
@@ -651,10 +640,8 @@ fn checkpoint_fences(dir: &Path, seed: u64) -> Vec<u64> {
     for entry in entries.flatten() {
         let name = entry.file_name();
         let Some(name) = name.to_str() else { continue };
-        if name == legacy {
-            fences.push(0);
-        } else if let Some(mid) = name
-            .strip_prefix(&fenced_prefix)
+        if let Some(mid) = name
+            .strip_prefix(&prefix)
             .and_then(|rest| rest.strip_suffix(".ckpt.json"))
         {
             if let Ok(fence) = mid.parse::<u64>() {
@@ -761,11 +748,11 @@ pub fn spool_submit(root: &Path, request: JobRequest) -> std::io::Result<JobFile
 
 /// [`crate::oblx::synthesize_multi`] with per-seed checkpointing: every
 /// `every` proposals each per-seed run writes its checkpoint to
-/// `dir/seed_<seed>.ckpt.json` (atomically), and any run whose
-/// checkpoint file already exists resumes from it instead of starting
-/// over. Checkpoints of completed seeds are removed. A run killed at
-/// any instant therefore loses at most `every` proposals of work, and
-/// the final result is bit-identical to an uninterrupted run.
+/// `dir/seed_<seed>.f1.ckpt.json` (atomically, at fence 1), and any run
+/// whose checkpoint file already exists resumes from it instead of
+/// starting over. Checkpoints of completed seeds are removed. A run
+/// killed at any instant therefore loses at most `every` proposals of
+/// work, and the final result is bit-identical to an uninterrupted run.
 ///
 /// # Panics
 ///
@@ -785,10 +772,11 @@ pub fn synthesize_multi_resumable(
     assert!(every > 0, "checkpoint interval must be positive");
     std::fs::create_dir_all(dir).ok();
     synthesize_multi_with(compiled, opts, seeds, threads, |seed, run_opts| {
-        let outcome = run_seed_resumable(compiled, run_opts, dir, every, |_| Directive::Continue)?;
+        let outcome =
+            run_seed_resumable(compiled, run_opts, dir, every, 1, |_| Directive::Continue)?;
         match outcome {
             SynthesisOutcome::Complete(r) => {
-                let _ = std::fs::remove_file(checkpoint_path(dir, seed));
+                remove_checkpoints(dir, seed);
                 Ok(*r)
             }
             SynthesisOutcome::Interrupted(_) => {
@@ -798,9 +786,15 @@ pub fn synthesize_multi_resumable(
     })
 }
 
-/// Runs one seed with checkpointing into `dir`, resuming from an
-/// existing checkpoint file when present. `control` is consulted at
-/// every checkpoint (after it has been persisted); returning
+/// Runs one seed with checkpointing into `dir` under fencing token
+/// `fence`: checkpoints are written to [`fenced_checkpoint_path`] for
+/// `fence`, and the run resumes from the highest-fence valid checkpoint
+/// present — which is at most `fence` itself for the current
+/// claim-holder, or a lower fence left by a previous (possibly
+/// still-zombie) holder. Resuming from a zombie's last checkpoint is
+/// always safe: resume is bit-identical, so redoing the zombie's
+/// unpublished tail work reproduces it exactly. `control` is consulted
+/// at every checkpoint (after it has been persisted); returning
 /// [`Directive::Stop`] aborts the run, yielding
 /// [`SynthesisOutcome::Interrupted`] — the checkpoint file stays behind
 /// for the next resume.
@@ -809,28 +803,6 @@ pub fn synthesize_multi_resumable(
 ///
 /// [`EvalFailure`] as for [`synthesize_controlled`].
 pub fn run_seed_resumable(
-    compiled: &CompiledProblem,
-    run_opts: &SynthesisOptions,
-    dir: &Path,
-    every: usize,
-    control: impl FnMut(&SynthesisCheckpoint) -> Directive,
-) -> Result<SynthesisOutcome, EvalFailure> {
-    run_seed_resumable_fenced(compiled, run_opts, dir, every, 0, control)
-}
-
-/// [`run_seed_resumable`] under a fencing token: checkpoints are
-/// written to [`fenced_checkpoint_path`] for `fence`, and the run
-/// resumes from the highest-fence valid checkpoint present — which is
-/// at most `fence` itself for the current claim-holder, or a lower
-/// fence left by a previous (possibly still-zombie) holder. Resuming
-/// from a zombie's last checkpoint is always safe: resume is
-/// bit-identical, so redoing the zombie's unpublished tail work
-/// reproduces it exactly.
-///
-/// # Errors
-///
-/// [`EvalFailure`] as for [`synthesize_controlled`].
-pub fn run_seed_resumable_fenced(
     compiled: &CompiledProblem,
     run_opts: &SynthesisOptions,
     dir: &Path,
@@ -929,7 +901,7 @@ mod tests {
     fn corrupt_checkpoint_loads_as_none() {
         let dir = std::env::temp_dir().join(format!("oblx-ckpt-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
-        let path = checkpoint_path(&dir, 3);
+        let path = fenced_checkpoint_path(&dir, 3, 1);
         assert!(load_checkpoint(&path).is_none(), "missing file");
         std::fs::write(&path, "{\"format\":\"oblx-checkpoint\",\"version\":1,").unwrap();
         assert!(load_checkpoint(&path).is_none(), "torn file");

@@ -4,12 +4,11 @@
 //!
 //! This is a plain-main harness (no criterion) because it measures
 //! whole child processes, not functions: it spawns the real `oblxd`
-//! binary via `CARGO_BIN_EXE_oblxd`, one `run` daemon plus two `join`
-//! daemons over a single spool directory, and times the drain from
-//! first spawn to last exit. The workload is a tiny RC-lowpass deck
-//! (~1 ms of synthesis per job) so the number measures the cluster
-//! machinery — claim arbitration, leases, seed sharding, finalize —
-//! rather than the annealer.
+//! binary via `CARGO_BIN_EXE_oblxd`, three `run` daemons over a single
+//! spool directory, and times the drain from first spawn to last exit.
+//! The workload is a tiny RC-lowpass deck (~1 ms of synthesis per job)
+//! so the number measures the cluster machinery — claim arbitration,
+//! leases, seed sharding, finalize — rather than the annealer.
 //!
 //! Set `OBLX_BENCH_QUICK=1` to cut the job count (CI smoke mode).
 //! Run with `cargo bench -p oblx-runtime --bench cluster_drain`.
@@ -72,11 +71,10 @@ fn submit_jobs(spool: &Spool, n_jobs: usize) {
     }
 }
 
-/// Spawns one `oblxd` daemon over `spool`. The first host uses `run`
-/// (which performs the startup recovery sweep); joiners use `join`.
-fn spawn_daemon(spool: &Path, host: &str, first: bool) -> Child {
+/// Spawns one `oblxd run` daemon over `spool` as host `host`.
+fn spawn_daemon(spool: &Path, host: &str) -> Child {
     Command::new(env!("CARGO_BIN_EXE_oblxd"))
-        .arg(if first { "run" } else { "join" })
+        .arg("run")
         .arg("--dir")
         .arg(spool)
         .args(["--drain", "--workers", "1", "--checkpoint-interval", "1000"])
@@ -125,7 +123,7 @@ fn drain(tag: &str, n_jobs: usize, hosts: usize) -> f64 {
     submit_jobs(&spool, n_jobs);
     let start = Instant::now();
     let children: Vec<Child> = (0..hosts)
-        .map(|h| spawn_daemon(&spool_dir, &format!("h{h}"), h == 0))
+        .map(|h| spawn_daemon(&spool_dir, &format!("h{h}")))
         .collect();
     wait_all(children, 600);
     let drain_s = start.elapsed().as_secs_f64();

@@ -4,23 +4,23 @@
 //! oblxd submit --dir SPOOL (--bench NAME | file.ox)
 //!              [--name N] [--seeds N|a,b,c] [--moves N] [--priority P]
 //! oblxd run    --dir SPOOL [--workers N] [--checkpoint-interval N] [--drain]
-//!              [--host-id H] [--lease-timeout SECS] [--portfolio]
-//! oblxd join   --dir SPOOL [same flags as run]
+//!              [--host-id H] [--lease-timeout SECS]
+//! oblxd cancel --dir SPOOL JOB_ID
 //! oblxd status --dir SPOOL [--metrics]
 //! ```
 //!
 //! `submit` spools a job; `run` starts the worker pool (one worker per
 //! core by default) and, in `--drain` mode, exits when the spool is
-//! empty. A killed `run` restarted over the same spool recovers every
-//! orphaned job and resumes its seeds from their last checkpoints,
-//! bit-identically.
+//! empty. A killed `run` restarted over the same spool with the same
+//! host id recovers that host's orphaned jobs and seeds and resumes
+//! them from their last checkpoints, bit-identically.
 //!
 //! Several daemons may share one spool directory (NFS-style): each
 //! needs a distinct `--host-id` (defaults to the hostname), claims
-//! individual seeds, and steals idle peers' work. `join` is `run` for
-//! the extra hosts of a cluster: it skips the startup recovery sweep,
-//! leaving lease reaping to the cluster reaper so a freshly joined
-//! host never requeues work a live peer still owns.
+//! individual seeds, and steals idle peers' work. Every daemon starts
+//! with `run`: startup recovery touches only work leased to its own
+//! host id, and a dead peer's work is the cluster reaper's, on
+//! lease-timeout evidence.
 
 use astrx_oblx::jobs::JobRequest;
 use astrx_oblx::{bench_suite, SynthesisOptions};
@@ -34,8 +34,7 @@ fn usage() -> ExitCode {
         "usage:\n  oblxd submit --dir SPOOL (--bench NAME | file.ox) [--name N] \
          [--seeds N|a,b,c] [--moves N] [--priority P]\n  \
          oblxd run --dir SPOOL [--workers N] [--checkpoint-interval N] [--drain]\n            \
-         [--host-id H] [--lease-timeout SECS] [--portfolio]\n  \
-         oblxd join --dir SPOOL [same flags as run]\n  \
+         [--host-id H] [--lease-timeout SECS]\n  \
          oblxd cancel --dir SPOOL JOB_ID\n  \
          oblxd status --dir SPOOL [--metrics]"
     );
@@ -66,8 +65,7 @@ fn main() -> ExitCode {
     };
     match cmd.as_str() {
         "submit" => cmd_submit(&spool, &rest),
-        "run" => cmd_run(&spool, &rest, true),
-        "join" => cmd_run(&spool, &rest, false),
+        "run" => cmd_run(&spool, &rest),
         "cancel" => cmd_cancel(&spool, &rest),
         "status" => {
             print!("{}", status(&spool).render());
@@ -238,7 +236,7 @@ fn cmd_cancel(spool: &Spool, rest: &[&String]) -> ExitCode {
     }
 }
 
-fn cmd_run(spool: &Spool, rest: &[&String], recover: bool) -> ExitCode {
+fn cmd_run(spool: &Spool, rest: &[&String]) -> ExitCode {
     // The daemon always records telemetry: the per-run overhead is
     // within noise and `status --metrics` depends on the snapshots.
     oblx_telemetry::set_enabled(true);
@@ -251,14 +249,9 @@ fn cmd_run(spool: &Spool, rest: &[&String], recover: bool) -> ExitCode {
         eprintln!("quarantined corrupt spool entry {id}");
         startup_corrupt += 1;
     }
-    // `join` skips this: recovery requeues THIS host's orphans (a
-    // restart after a crash); a joining host has none, and foreign
-    // orphans are the cluster reaper's job, on lease-timeout evidence.
-    if recover {
-        for id in spool.recover() {
-            EventLog::open(spool, &id).emit("recovered", &[]);
-            eprintln!("recovered orphaned job {id}");
-        }
+    for id in spool.recover() {
+        EventLog::open(spool, &id).emit("recovered", &[]);
+        eprintln!("recovered orphaned job {id}");
     }
     let opts = PoolOptions {
         workers: opt(rest, "--workers")
@@ -273,7 +266,6 @@ fn cmd_run(spool: &Spool, rest: &[&String], recover: bool) -> ExitCode {
                 .and_then(|s| s.parse().ok())
                 .unwrap_or(30.0),
         ),
-        portfolio: flag(rest, "--portfolio"),
     };
     if opts.checkpoint_every == 0 {
         eprintln!("error: --checkpoint-interval must be positive");

@@ -197,14 +197,12 @@ pub fn render_metrics(data: &Value) -> String {
         let _ = writeln!(
             out,
             "cluster: {} leases acquired ({} released, {} reaped, {} lost), \
-             {} seeds stolen, portfolio {} published / {} adapted",
+             {} seeds stolen",
             counter("lease_acquired"),
             counter("lease_released"),
             counter("lease_reaped"),
             counter("lease_lost"),
             counter("seed_stolen"),
-            counter("portfolio_published"),
-            counter("portfolio_adapted"),
         );
     }
     if counter("http_request") > 0
@@ -264,7 +262,7 @@ pub struct JobProgress {
 /// snapshot (every host sharing the spool contributes one file).
 #[derive(Debug, Clone)]
 pub struct WorkerState {
-    /// Host the worker belongs to (empty for legacy snapshots).
+    /// Host the worker belongs to.
     pub host: String,
     /// Worker index within its host.
     pub worker: usize,
@@ -335,11 +333,9 @@ impl Status {
                     100.0 * u
                 );
                 let multi_host = self.hosts.len() > 1
-                    || self.workers.iter().any(|w| {
-                        !w.host.is_empty() && self.workers.iter().any(|o| o.host != w.host)
-                    });
+                    || self.workers.iter().any(|w| w.host != self.workers[0].host);
                 for w in &self.workers {
-                    let tag = if multi_host && !w.host.is_empty() {
+                    let tag = if multi_host {
                         format!("{}/w{}", w.host, w.worker)
                     } else {
                         format!("w{}", w.worker)
@@ -477,17 +473,15 @@ pub fn read_workers(spool: &Spool) -> Vec<WorkerState> {
         let Ok(doc) = json::parse(&text) else {
             continue;
         };
-        let host = doc
-            .get("host")
-            .and_then(Value::as_str)
-            .unwrap_or("")
-            .to_string();
-        let Some(rows) = doc.get("workers").and_then(Value::as_arr) else {
+        let (Some(host), Some(rows)) = (
+            doc.get("host").and_then(Value::as_str),
+            doc.get("workers").and_then(Value::as_arr),
+        ) else {
             continue;
         };
         out.extend(rows.iter().filter_map(|row| {
             Some(WorkerState {
-                host: host.clone(),
+                host: host.to_string(),
                 worker: usize::try_from(row.get("worker")?.as_int()?).ok()?,
                 busy: row.get("busy")?.as_bool()?,
                 job: row.get("job").and_then(Value::as_str).map(str::to_string),

@@ -23,7 +23,8 @@
 //!   result files.
 //! * [`events`] — a JSONL event log per job (`submitted`, `started`,
 //!   `seed_started`, `checkpoint`, `seed_done`, `done`, `failed`,
-//!   `recovered`), plus the status aggregation behind `oblxd status`.
+//!   `recovered`, `seed_recovered`), plus the status aggregation behind
+//!   `oblxd status`.
 //!
 //! The binary front end lives in `src/bin/oblxd.rs`:
 //!

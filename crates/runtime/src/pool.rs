@@ -24,20 +24,18 @@
 //! whose holder died. A holder that lost its lease discovers it at the
 //! next refresh and abandons the seed; its stale checkpoints carry a
 //! lower fence in their *filenames*, so they can never shadow the new
-//! holder's state.
-//!
-//! Portfolio mode (opt-in, [`PoolOptions::portfolio`]) trades the
-//! bit-identity guarantee for convergence speed: seeds publish
-//! best-so-far cost and Hustin move statistics to `portfolio/<id>/` at
-//! checkpoints, and a seed that sees a clearly better peer restarts its
-//! move-class selection biased toward the peer's observed distribution.
+//! holder's state. A claimed job or seed entry with no lease at all is
+//! a claimer that died between its claim rename and its lease write;
+//! the reaper watches it under an empty owner and adopts it once the
+//! lease timeout passes. A daemon's own orphans from before a restart
+//! are [`Spool::recover`]'s, which every daemon runs at startup.
 
 use crate::compile_job;
 use crate::events::EventLog;
 use crate::spool::{ClaimCursor, LeaseName, SeedEntry, Spool};
 use astrx_oblx::jobs::{self, JobFile};
 use astrx_oblx::json::{ObjBuilder, Value};
-use astrx_oblx::oblx::{fixed_cost, OblxState, SynthesisCheckpoint};
+use astrx_oblx::oblx::{fixed_cost, OblxState};
 use astrx_oblx::{CompiledProblem, SynthesisOptions, SynthesisOutcome};
 use oblx_anneal::Directive;
 use std::collections::{HashMap, VecDeque};
@@ -60,10 +58,6 @@ pub struct PoolOptions {
     /// heartbeat — may sit unchanged before a peer reaps the lease and
     /// re-opens its work entry.
     pub lease_timeout: Duration,
-    /// Portfolio mode: exchange best-so-far statistics between seeds
-    /// and bias move selection toward the best peer. Intentionally
-    /// trades bit-identical results for convergence speed.
-    pub portfolio: bool,
 }
 
 impl Default for PoolOptions {
@@ -73,7 +67,6 @@ impl Default for PoolOptions {
             checkpoint_every: 2_000,
             drain: false,
             lease_timeout: Duration::from_secs(30),
-            portfolio: false,
         }
     }
 }
@@ -131,7 +124,7 @@ struct WorkerSnap {
 }
 
 /// Why a per-seed run's checkpoint hook said [`Directive::Stop`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy)]
 enum StopCause {
     /// It didn't (the run finished, failed, or panicked).
     Ran,
@@ -141,8 +134,6 @@ enum StopCause {
     Cancelled,
     /// Lease refresh failed — fenced out, the seed is not ours anymore.
     LeaseLost,
-    /// Portfolio mode found a clearly better peer to adapt toward.
-    Adapt,
 }
 
 /// Claim-path state shared by the local workers.
@@ -185,7 +176,7 @@ struct Shared<'a> {
 
 /// Runs the pool over `spool` until drained (with
 /// [`PoolOptions::drain`]) or until `shutdown` is raised. Call
-/// [`Spool::recover`] first when restarting after a crash. Several
+/// [`Spool::recover`] first, as every daemon does at startup. Several
 /// daemons may run this concurrently over one spool; drain mode waits
 /// for the *whole* spool (including peers' in-flight work, which it
 /// will reap and finish if they die).
@@ -455,65 +446,45 @@ fn run_seed_entry(shared: &Shared<'_>, w: usize, entry: SeedEntry) {
     };
     let ckdir = spool.ckpt_dir(&entry.job);
     let _ = std::fs::create_dir_all(&ckdir);
-    let mut portfolio = PortfolioCtl::default();
     // A panicking seed (a bug, or pathological numerics) must not
     // unwind through `std::thread::scope` and take the whole daemon —
     // and every sibling seed — down with it. Catch it and record the
     // seed as failed; determinism is untouched since the seed produced
     // no result either way.
-    let (attempt, cause) = loop {
-        let mut cause = StopCause::Ran;
-        let mut peer: Option<PeerBest> = None;
-        let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            jobs::run_seed_resumable_fenced(
-                &prep.compiled,
-                &run_opts,
-                &ckdir,
-                shared.opts.checkpoint_every,
-                entry.fence,
-                |ck| {
-                    log.emit(
-                        "checkpoint",
-                        &[
-                            ("seed", jobs::u64_to_value(seed)),
-                            ("attempted", ck.engine.attempted.into()),
-                            ("cost", ck.engine.cost.into()),
-                            ("best_cost", ck.engine.best_cost.into()),
-                        ],
-                    );
-                    if shared.shutdown.load(Ordering::SeqCst) {
-                        cause = StopCause::Shutdown;
-                        return Directive::Stop;
-                    }
-                    if spool.cancel_requested(&entry.job) {
-                        cause = StopCause::Cancelled;
-                        return Directive::Stop;
-                    }
-                    if !spool.refresh_lease(&LeaseName::seed(&entry.job, seed), entry.fence) {
-                        cause = StopCause::LeaseLost;
-                        return Directive::Stop;
-                    }
-                    if shared.opts.portfolio {
-                        publish_portfolio(spool, &entry.job, ck);
-                        if let Some(p) = portfolio.better_peer(spool, &entry.job, ck) {
-                            peer = Some(p);
-                            cause = StopCause::Adapt;
-                            return Directive::Stop;
-                        }
-                    }
-                    Directive::Continue
-                },
-            )
-        }));
-        match attempt {
-            Ok(Ok(SynthesisOutcome::Interrupted(ck))) if cause == StopCause::Adapt => {
-                if let Some(p) = peer.take() {
-                    apply_adaptation(&log, &entry, &ckdir, *ck, &p);
+    let mut cause = StopCause::Ran;
+    let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        jobs::run_seed_resumable(
+            &prep.compiled,
+            &run_opts,
+            &ckdir,
+            shared.opts.checkpoint_every,
+            entry.fence,
+            |ck| {
+                log.emit(
+                    "checkpoint",
+                    &[
+                        ("seed", jobs::u64_to_value(seed)),
+                        ("attempted", ck.engine.attempted.into()),
+                        ("cost", ck.engine.cost.into()),
+                        ("best_cost", ck.engine.best_cost.into()),
+                    ],
+                );
+                if shared.shutdown.load(Ordering::SeqCst) {
+                    cause = StopCause::Shutdown;
+                    return Directive::Stop;
                 }
-            }
-            other => break (other, cause),
-        }
-    };
+                if spool.cancel_requested(&entry.job) {
+                    cause = StopCause::Cancelled;
+                    return Directive::Stop;
+                }
+                if !spool.refresh_lease(&LeaseName::seed(&entry.job, seed), entry.fence) {
+                    cause = StopCause::LeaseLost;
+                    return Directive::Stop;
+                }
+                Directive::Continue
+            },
+        )
+    }));
     let record = match attempt {
         Err(payload) => {
             let msg = panic_message(payload.as_ref());
@@ -742,7 +713,6 @@ fn finalize_from(shared: &Shared<'_>, file: &JobFile) {
     let _ = std::fs::remove_dir_all(&ckdir);
     spool.remove_seed_entries(&file.id);
     spool.release_lease(&LeaseName::job(&file.id));
-    let _ = std::fs::remove_dir_all(spool.job_portfolio_dir(&file.id));
     shared.prepared.lock().unwrap().remove(&file.id);
     let mut stats = shared.stats.lock().unwrap();
     if status == "ok" {
@@ -753,8 +723,8 @@ fn finalize_from(shared: &Shared<'_>, file: &JobFile) {
 }
 
 /// The reaper tick: beats this host's heartbeat, watches every lease
-/// (and lease-less run entry, and peer heartbeat) for progress, and
-/// re-opens work whose holder died. Also finishes the two multi-step
+/// (and lease-less claimed job or run entry, and peer heartbeat) for
+/// progress, and re-opens work whose holder died. Also finishes the two multi-step
 /// transitions a crash can orphan: incomplete shards of adopted jobs,
 /// and parked-but-unfinalized job specs.
 fn reap(shared: &Shared<'_>) {
@@ -797,13 +767,18 @@ fn reap(shared: &Shared<'_>) {
     for (name, lease) in shared.spool.leases() {
         current.insert(name.stem(), (lease.owner, lease.beat, lease.fence));
     }
+    // A claimed job or run entry with no lease yet: a claim in progress
+    // — or a claimer that died between the rename and the lease write.
+    // The empty owner is never "live", so the timeout decides.
     for e in &run_entries {
-        // A run entry with no lease yet: a claim in progress — or a
-        // claimer that died between the rename and the lease write.
-        // The empty owner is never "live", so the timeout decides.
         current
             .entry(LeaseName::seed(&e.job, e.seed).stem())
             .or_insert_with(|| (String::new(), 0, e.fence));
+    }
+    for id in shared.spool.running_ids() {
+        current
+            .entry(LeaseName::job(&id).stem())
+            .or_insert_with(|| (String::new(), 0, 0));
     }
     reaper.seen.retain(|k, _| current.contains_key(k));
     let mut expired: Vec<String> = Vec::new();
@@ -855,7 +830,8 @@ fn reap(shared: &Shared<'_>) {
                 }
             }
             LeaseName::Job(id) => {
-                // The shard-owner died. Adopt the job: take the lease,
+                // The shard-owner died (or died claiming the job, before
+                // its lease write). Adopt the job: take the lease,
                 // repair the shard (idempotent — a crash mid-`shard_job`
                 // leaves some seeds unsharded), and finalize if it was
                 // actually complete.
@@ -884,7 +860,6 @@ fn reap(shared: &Shared<'_>) {
             let _ = std::fs::remove_dir_all(shared.spool.ckpt_dir(&id));
             shared.spool.remove_seed_entries(&id);
             shared.spool.release_lease(&LeaseName::job(&id));
-            let _ = std::fs::remove_dir_all(shared.spool.job_portfolio_dir(&id));
             continue;
         }
         let Some(file) = shared.spool.read_parked_job(&id) else {
@@ -910,195 +885,6 @@ fn reap(shared: &Shared<'_>) {
         {
             finalize_from(shared, &file);
         }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Portfolio mode.
-
-/// A peer's published best-so-far, as an adaptation target.
-struct PeerBest {
-    host: String,
-    cost: f64,
-    p: Vec<f64>,
-    scale: Vec<f64>,
-}
-
-/// Paces the portfolio exchange: peers are consulted every few
-/// checkpoints, and an adaptation is followed by a cooldown so a seed
-/// settles into the blended statistics before looking again.
-#[derive(Default)]
-struct PortfolioCtl {
-    calls: u64,
-    cooldown_until: u64,
-}
-
-impl PortfolioCtl {
-    fn better_peer(
-        &mut self,
-        spool: &Spool,
-        id: &str,
-        ck: &SynthesisCheckpoint,
-    ) -> Option<PeerBest> {
-        self.calls += 1;
-        if self.calls < self.cooldown_until || !self.calls.is_multiple_of(4) {
-            return None;
-        }
-        let own = ck.engine.best_cost;
-        if !own.is_finite() {
-            return None;
-        }
-        let me = portfolio_record_name(spool.host(), ck.seed);
-        let best = read_portfolio(spool, id)
-            .into_iter()
-            .filter(|(name, _)| *name != me)
-            .map(|(_, p)| p)
-            .filter(|p| p.cost.is_finite())
-            .min_by(|a, b| a.cost.total_cmp(&b.cost))?;
-        // Only adapt toward a *clearly* better peer: 5% relative.
-        if best.cost < own - 0.05 * own.abs() {
-            self.cooldown_until = self.calls + 8;
-            Some(best)
-        } else {
-            None
-        }
-    }
-}
-
-fn portfolio_record_name(host: &str, seed: u64) -> String {
-    format!("{host}.s{seed}.json")
-}
-
-/// Publishes this seed's best-so-far cost and move statistics to the
-/// job's exchange directory.
-fn publish_portfolio(spool: &Spool, id: &str, ck: &SynthesisCheckpoint) {
-    let dir = spool.job_portfolio_dir(id);
-    let _ = std::fs::create_dir_all(&dir);
-    let classes = &ck.engine.stats.classes;
-    let doc = ObjBuilder::new()
-        .field("format", "oblx-portfolio")
-        .field("version", 1i64)
-        .field("host", spool.host())
-        .field("seed", jobs::u64_to_value(ck.seed))
-        .field("best_cost", jobs::f64_to_value(ck.engine.best_cost))
-        .field("attempted", ck.engine.attempted)
-        .field(
-            "p",
-            Value::Arr(
-                classes
-                    .iter()
-                    .map(|c| jobs::f64_to_value(c.probability))
-                    .collect(),
-            ),
-        )
-        .field(
-            "scale",
-            Value::Arr(
-                classes
-                    .iter()
-                    .map(|c| jobs::f64_to_value(c.scale))
-                    .collect(),
-            ),
-        )
-        .build();
-    let path = dir.join(portfolio_record_name(spool.host(), ck.seed));
-    if jobs::write_atomic(&path, &doc.to_json()).is_ok() {
-        oblx_telemetry::incr(oblx_telemetry::Counter::PortfolioPublished);
-    }
-}
-
-/// Every parseable record in the job's exchange directory.
-fn read_portfolio(spool: &Spool, id: &str) -> Vec<(String, PeerBest)> {
-    let Ok(entries) = std::fs::read_dir(spool.job_portfolio_dir(id)) else {
-        return Vec::new();
-    };
-    let mut out = Vec::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name().to_string_lossy().into_owned();
-        let Ok(text) = std::fs::read_to_string(entry.path()) else {
-            continue;
-        };
-        let Ok(v) = astrx_oblx::json::parse(&text) else {
-            continue;
-        };
-        if v.get("format").and_then(Value::as_str) != Some("oblx-portfolio") {
-            continue;
-        }
-        let bits_arr = |key: &str| -> Option<Vec<f64>> {
-            v.get(key)?
-                .as_arr()?
-                .iter()
-                .map(|x| jobs::f64_from_value(x).ok())
-                .collect()
-        };
-        let Some(host) = v.get("host").and_then(Value::as_str) else {
-            continue;
-        };
-        let Some(cost) = v
-            .get("best_cost")
-            .and_then(|c| jobs::f64_from_value(c).ok())
-        else {
-            continue;
-        };
-        let (Some(p), Some(scale)) = (bits_arr("p"), bits_arr("scale")) else {
-            continue;
-        };
-        out.push((
-            name,
-            PeerBest {
-                host: host.to_string(),
-                cost,
-                p,
-                scale,
-            },
-        ));
-    }
-    out
-}
-
-/// Blends this seed's move-class statistics toward a better peer's and
-/// writes the mutated checkpoint back; the run then resumes from it.
-fn apply_adaptation(
-    log: &EventLog,
-    entry: &SeedEntry,
-    ckdir: &Path,
-    mut ck: SynthesisCheckpoint,
-    peer: &PeerBest,
-) {
-    let stats = &mut ck.engine.stats;
-    if peer.p.len() != stats.classes.len() {
-        return;
-    }
-    for (i, c) in stats.classes.iter_mut().enumerate() {
-        c.probability = 0.5 * c.probability + 0.5 * peer.p[i];
-        if let Some(&s) = peer.scale.get(i) {
-            c.scale = (0.5 * c.scale + 0.5 * s).clamp(1e-6, 1.0);
-        }
-    }
-    // Re-normalize with the selector's own probability floor, the same
-    // invariants its rebalance maintains.
-    let floor = stats.p_min;
-    let sum: f64 = stats.classes.iter().map(|c| c.probability).sum();
-    if sum > 0.0 {
-        for c in &mut stats.classes {
-            c.probability = (c.probability / sum).max(floor);
-        }
-        let sum2: f64 = stats.classes.iter().map(|c| c.probability).sum();
-        for c in &mut stats.classes {
-            c.probability /= sum2;
-        }
-    }
-    let path = jobs::fenced_checkpoint_path(ckdir, entry.seed, entry.fence);
-    if jobs::write_atomic(&path, &jobs::checkpoint_to_json(&ck)).is_ok() {
-        oblx_telemetry::incr(oblx_telemetry::Counter::PortfolioAdapted);
-        log.emit(
-            "portfolio_adapt",
-            &[
-                ("seed", jobs::u64_to_value(entry.seed)),
-                ("peer", peer.host.as_str().into()),
-                ("peer_cost", jobs::f64_to_value(peer.cost)),
-            ],
-        );
     }
 }
 
@@ -1434,8 +1220,8 @@ mod tests {
         };
 
         // Interrupted run: cut a checkpoint at a known point (as a
-        // killed worker would leave behind), then let the pool pick the
-        // job up and resume it.
+        // killed worker holding the first fence would leave behind),
+        // then let the pool pick the job up and resume it.
         let spool = temp_spool("resume");
         let job = spool.submit(small_job("amp", vec![7])).unwrap();
         let compiled = compile_job(&job.request).unwrap();
@@ -1445,7 +1231,7 @@ mod tests {
         };
         let ckdir = spool.ckpt_dir(&job.id);
         std::fs::create_dir_all(&ckdir).unwrap();
-        let outcome = jobs::run_seed_resumable(&compiled, &run_opts, &ckdir, 50, |ck| {
+        let outcome = jobs::run_seed_resumable(&compiled, &run_opts, &ckdir, 50, 1, |ck| {
             if ck.engine.attempted >= 150 {
                 Directive::Stop
             } else {
@@ -1454,7 +1240,7 @@ mod tests {
         })
         .unwrap();
         assert!(matches!(outcome, SynthesisOutcome::Interrupted(_)));
-        assert!(jobs::checkpoint_path(&ckdir, 7).exists());
+        assert!(jobs::fenced_checkpoint_path(&ckdir, 7, 1).exists());
 
         let stats = run(&spool, &opts, &AtomicBool::new(false));
         assert_eq!(stats.jobs_completed, 1);
@@ -1555,22 +1341,36 @@ mod tests {
     }
 
     #[test]
-    fn portfolio_mode_publishes_and_still_completes() {
-        let spool = temp_spool("portfolio");
-        let job = spool.submit(small_job("amp", vec![3, 4])).unwrap();
+    fn lease_less_running_job_is_adopted_without_recover() {
+        // A claimer that died between its claim rename and its lease
+        // write leaves a job in running/ with no lease. A pool that never
+        // calls `recover()` must adopt it once the lease timeout passes.
+        let spool = temp_spool("leaseless");
+        let job = spool.submit(small_job("amp", vec![5])).unwrap();
+        let file = format!("{}.json", job.id);
+        std::fs::rename(
+            spool.queue_dir().join(&file),
+            spool.running_dir().join(&file),
+        )
+        .unwrap();
         let opts = PoolOptions {
-            portfolio: true,
-            checkpoint_every: 50,
-            ..drain_opts(2)
+            lease_timeout: Duration::from_millis(300),
+            ..drain_opts(1)
         };
-        let stats = run(&spool, &opts, &AtomicBool::new(false));
+        let shutdown = AtomicBool::new(false);
+        let stats = std::thread::scope(|scope| {
+            let pool = scope.spawn(|| run(&spool, &opts, &shutdown));
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !pool.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            // A stalled drain must fail the test, not hang it.
+            shutdown.store(true, Ordering::SeqCst);
+            pool.join().unwrap()
+        });
+        assert!(spool.done(&job.id).is_some(), "the job stalled in running/");
         assert_eq!(stats.jobs_completed, 1);
-        let record = spool.done(&job.id).unwrap();
-        assert_eq!(record.get("status").unwrap().as_str(), Some("ok"));
-        assert!(
-            !spool.job_portfolio_dir(&job.id).exists(),
-            "exchange records are reclaimed at finalize"
-        );
+        assert!(stats.leases_reaped >= 1, "adopted through the reaper");
         std::fs::remove_dir_all(spool.root()).unwrap();
     }
 }

@@ -13,10 +13,9 @@
 //! seeds/<id>/s<seed>.*.json  per-seed work entries (open = stealable,
 //!                            run = claimed) — the cross-host work unit
 //! leases/<stem>.lease        liveness leases (job and per-seed)
-//! portfolio/<id>/            best-so-far exchange records (opt-in)
 //! hosts/<host>.json          per-daemon heartbeat snapshots
 //! events/<id>.jsonl          per-job event logs (see crate::events)
-//! workers.json               live worker-state snapshot (per daemon)
+//! workers.<host>.json        live worker-state snapshot (per daemon)
 //! seq                        submission sequence counter
 //! ```
 //!
@@ -47,10 +46,13 @@
 //!   Fencing tokens are embedded in checkpoint *filenames*
 //!   (see `astrx_oblx::jobs::fenced_checkpoint_path`), so a zombie's
 //!   late checkpoint write can never shadow the new holder's state.
-//! * **Recovery split.** [`Spool::recover`] (startup) requeues only
-//!   jobs and seed entries owned by *this* host id or with no lease at
-//!   all; live peers' work is left untouched. Expired *foreign* leases
-//!   are reaped continuously by the pool's reaper tick instead.
+//! * **Recovery split.** [`Spool::recover`], which every daemon runs
+//!   at startup, requeues the jobs and re-opens the seed entries whose
+//!   lease names *this* host id: the orphans of its own previous run.
+//!   Everything else waits for lease-timeout evidence in the pool's
+//!   reaper tick: expired *foreign* leases, and claimed entries with no
+//!   lease at all (a claimer that died between its claim rename and
+//!   its lease write).
 
 use astrx_oblx::jobs::{self, JobFile, JobRequest};
 use astrx_oblx::json::{ObjBuilder, Value};
@@ -114,7 +116,6 @@ impl Spool {
             spool.ckpt_root(),
             spool.seeds_root(),
             spool.leases_dir(),
-            spool.portfolio_root(),
             spool.hosts_dir(),
         ] {
             std::fs::create_dir_all(dir)?;
@@ -200,16 +201,6 @@ impl Spool {
         self.root.join("leases")
     }
 
-    /// `portfolio/` — best-so-far exchange records, per job.
-    pub fn portfolio_root(&self) -> PathBuf {
-        self.root.join("portfolio")
-    }
-
-    /// `portfolio/<id>/` — the exchange directory of one job.
-    pub fn job_portfolio_dir(&self, id: &str) -> PathBuf {
-        self.portfolio_root().join(id)
-    }
-
     /// `hosts/` — per-daemon heartbeat snapshots.
     pub fn hosts_dir(&self) -> PathBuf {
         self.root.join("hosts")
@@ -221,14 +212,10 @@ impl Spool {
         self.root.join(format!("workers.{}.json", self.host))
     }
 
-    /// Worker-snapshot paths of every daemon that has written one
-    /// (including the legacy unsuffixed `workers.json`).
+    /// Worker-snapshot paths (`workers.<host>.json`) of every daemon
+    /// that has written one.
     pub fn all_workers_paths(&self) -> Vec<PathBuf> {
         let mut out = Vec::new();
-        let legacy = self.root.join("workers.json");
-        if legacy.exists() {
-            out.push(legacy);
-        }
         if let Ok(entries) = std::fs::read_dir(&self.root) {
             for entry in entries.flatten() {
                 let name = entry.file_name();
@@ -287,6 +274,11 @@ impl Spool {
     /// Jobs currently claimed by workers.
     pub fn running(&self) -> Vec<JobFile> {
         Self::read_jobs(&self.running_dir())
+    }
+
+    /// Ids of the claimed jobs, from file names alone (no parse).
+    pub(crate) fn running_ids(&self) -> Vec<String> {
+        Self::json_ids(&self.running_dir())
     }
 
     /// Claims the highest-priority pending job by renaming it into
@@ -660,18 +652,23 @@ impl Spool {
     }
 
     /// Startup recovery: requeues `running/` jobs and re-opens claimed
-    /// seed entries that belong to **this host id** (we are their
-    /// restarted owner) or that carry no lease at all. A live peer's
-    /// work is left strictly alone — expired *foreign* leases are the
-    /// pool reaper's job, which waits out the lease timeout first.
-    /// Returns the recovered ids (`<job>` for requeued jobs,
-    /// `<job>:s<seed>` for re-opened seed entries). Undecodable
-    /// `running/` entries are quarantined (see
-    /// [`Spool::quarantine_corrupt`]) rather than silently left behind.
+    /// seed entries whose lease names **this host id** — the orphans
+    /// of this daemon's previous run. Work leased to another host, and
+    /// lease-less work, is left strictly alone: the pool reaper takes
+    /// it once the lease timeout passes, so recovery is safe on any
+    /// daemon at any start. A tombstoned own orphan is retired rather
+    /// than requeued. Each re-opened seed is logged (`seed_recovered`,
+    /// with its `seed`) in its job's event log. Returns the id of each
+    /// affected job once. Undecodable `running/` entries are
+    /// quarantined (see [`Spool::quarantine_corrupt`]) rather than
+    /// silently left behind.
     pub fn recover(&self) -> Vec<String> {
         let _ = self.quarantine_corrupt();
         let mut recovered = Vec::new();
         for job in self.running() {
+            if !self.owns_lease(&LeaseName::job(&job.id)) {
+                continue;
+            }
             // A tombstoned orphan is not worth requeueing: retire the
             // job here instead of resuming it only to stop it again at
             // its first checkpoint — but only once no peer still runs
@@ -682,11 +679,6 @@ impl Spool {
                 }
                 continue;
             }
-            if let Some(lease) = self.read_lease(&LeaseName::job(&job.id)) {
-                if lease.owner != self.host {
-                    continue;
-                }
-            }
             let from = self.running_dir().join(format!("{}.json", job.id));
             let to = self.queue_dir().join(format!("{}.json", job.id));
             if std::fs::rename(&from, &to).is_ok() {
@@ -695,16 +687,28 @@ impl Spool {
             }
         }
         for entry in self.running_seed_entries() {
-            if let Some(lease) = self.read_lease(&LeaseName::seed(&entry.job, entry.seed)) {
-                if lease.owner != self.host {
-                    continue;
-                }
+            if !self.owns_lease(&LeaseName::seed(&entry.job, entry.seed))
+                || !self.reopen_seed(&entry)
+            {
+                continue;
             }
-            if self.reopen_seed(&entry) {
-                recovered.push(format!("{}:s{}", entry.job, entry.seed));
+            crate::events::EventLog::open(self, &entry.job).emit(
+                "seed_recovered",
+                &[
+                    ("seed", jobs::u64_to_value(entry.seed)),
+                    ("fence", jobs::u64_to_value(entry.fence + 1)),
+                ],
+            );
+            if !recovered.contains(&entry.job) {
+                recovered.push(entry.job);
             }
         }
         recovered
+    }
+
+    /// Whether the lease `name` exists and names this host.
+    fn owns_lease(&self, name: &LeaseName) -> bool {
+        self.read_lease(name).is_some_and(|l| l.owner == self.host)
     }
 
     /// Whether any seed of `id` is claimed (`run`) under a lease owned
@@ -850,7 +854,6 @@ impl Spool {
         let _ = std::fs::remove_file(self.tombstone_path(id));
         self.remove_seed_entries(id);
         self.release_lease(&LeaseName::job(id));
-        let _ = std::fs::remove_dir_all(self.job_portfolio_dir(id));
         crate::events::EventLog::open(self, id).emit("job_cancelled", &[("name", name.into())]);
         oblx_telemetry::incr(oblx_telemetry::Counter::JobCancelled);
         Ok(())
@@ -1345,6 +1348,81 @@ mod tests {
         ids.sort();
         ids.dedup();
         assert_eq!(ids.len(), 20, "all submissions got distinct ids");
+        std::fs::remove_dir_all(spool.root()).unwrap();
+    }
+
+    #[test]
+    fn recover_leaves_lease_less_and_peer_leased_work_alone() {
+        let spool = temp_spool("recover-split").with_host("me");
+        // A claimer that died between its claim renames and its lease
+        // writes: a job in running/ and a seed run entry, neither leased.
+        let orphan = spool.submit(req("orphan", 0)).unwrap();
+        let file = format!("{}.json", orphan.id);
+        std::fs::rename(
+            spool.queue_dir().join(&file),
+            spool.running_dir().join(&file),
+        )
+        .unwrap();
+        spool.shard_job(&orphan).unwrap();
+        std::fs::rename(
+            spool.seed_entry_path(&orphan.id, 1, "open"),
+            spool.seed_entry_path(&orphan.id, 1, "run"),
+        )
+        .unwrap();
+        // A job whose seed a live peer is running.
+        let peer = spool.clone().with_host("peer");
+        peer.submit(req("busy", 0)).unwrap();
+        let busy = peer.claim_next().unwrap();
+        peer.shard_job(&busy).unwrap();
+        let entry = peer.open_seed_entries().pop().unwrap();
+        assert!(peer.claim_seed(&entry));
+
+        let before = spool.running_seed_entries();
+        assert!(spool.recover().is_empty(), "nothing here is leased to `me`");
+        assert_eq!(spool.running().len(), 2, "both jobs stay claimed");
+        assert_eq!(spool.running_seed_entries(), before);
+        assert!(spool.open_seed_entries().is_empty());
+        assert!(spool.read_lease(&LeaseName::job(&orphan.id)).is_none());
+        let lease = spool.read_lease(&LeaseName::seed(&busy.id, 1)).unwrap();
+        assert_eq!((lease.owner.as_str(), lease.fence), ("peer", entry.fence));
+        std::fs::remove_dir_all(spool.root()).unwrap();
+    }
+
+    #[test]
+    fn recover_logs_a_reopened_seed_in_its_jobs_own_log() {
+        // `me` stole seed 1 of a job a peer shard-owns, then died.
+        let spool = temp_spool("recover-seed").with_host("me");
+        let peer = spool.clone().with_host("peer");
+        peer.submit(req("a", 0)).unwrap();
+        let job = peer.claim_next().unwrap();
+        peer.shard_job(&job).unwrap();
+        let entry = spool.open_seed_entries().pop().unwrap();
+        assert!(spool.claim_seed(&entry));
+
+        let recovered = spool.recover();
+        assert_eq!(recovered, std::slice::from_ref(&job.id));
+        // What every caller does with the returned ids.
+        for id in &recovered {
+            crate::events::EventLog::open(&spool, id).emit("recovered", &[]);
+        }
+        let logs: Vec<String> = std::fs::read_dir(spool.events_dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        assert!(
+            logs.iter().all(|n| !n.contains(":s")),
+            "stray logs: {logs:?}"
+        );
+        let events = crate::events::EventLog::open(&spool, &job.id).read();
+        assert!(
+            events.iter().any(|e| {
+                e.get("event").and_then(Value::as_str) == Some("seed_recovered")
+                    && e.get("seed") == Some(&jobs::u64_to_value(1))
+            }),
+            "the job's log names the seed: {events:?}"
+        );
+        assert_eq!(spool.open_seed_entries()[0].fence, entry.fence + 1);
+        assert_eq!(spool.running().len(), 1, "the peer's job stays claimed");
         std::fs::remove_dir_all(spool.root()).unwrap();
     }
 }

@@ -2,9 +2,11 @@
 //! one shared spool directory.
 //!
 //! * **Chaos**: three daemons drain a queue, one is SIGKILLed
-//!   mid-drain; the survivors' reapers must recover its leases and the
-//!   final records must be **bit-identical** to an uninterrupted
-//!   single-daemon run — placement and failure must not change results.
+//!   mid-drain, and the final records must be **bit-identical** to an
+//!   uninterrupted single-daemon run — placement and failure must not
+//!   change results. Two inputs: the survivors' reapers recover the
+//!   victim's leases, or the victim restarts at once under its own host
+//!   id and its startup recovery finishes its orphans.
 //! * **Race**: four daemons drain cheap jobs while the test fires
 //!   concurrent `oblxd cancel` processes at half of them; every job
 //!   must end with exactly one terminal record (done XOR cancelled),
@@ -14,7 +16,7 @@
 use astrx_oblx::jobs::JobRequest;
 use astrx_oblx::json::Value;
 use astrx_oblx::SynthesisOptions;
-use oblx_runtime::spool::Spool;
+use oblx_runtime::spool::{LeaseName, Spool};
 use std::path::{Path, PathBuf};
 use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
@@ -89,11 +91,10 @@ fn submit_batch(spool_dir: &Path, n_jobs: usize, moves: usize, seeds: &[u64]) ->
         .collect()
 }
 
-/// Spawns one `oblxd` daemon (`run` for the first host over a spool,
-/// `join` for the rest — joiners skip the startup recovery sweep).
-fn spawn_daemon(spool_dir: &Path, host: &str, first: bool, lease_timeout: &str) -> Child {
+/// Spawns one `oblxd run` daemon over `spool_dir` as host `host`.
+fn spawn_daemon(spool_dir: &Path, host: &str, lease_timeout: &str) -> Child {
     oblxd()
-        .arg(if first { "run" } else { "join" })
+        .arg("run")
         .arg("--dir")
         .arg(spool_dir)
         .args(["--drain", "--workers", "1", "--checkpoint-interval", "500"])
@@ -134,9 +135,21 @@ fn done_record(spool_dir: &Path, id: &str) -> Option<Value> {
     astrx_oblx::json::parse(&text).ok()
 }
 
-#[test]
-fn killing_a_host_mid_drain_completes_all_jobs_bit_identically() {
-    let dir = temp_dir("chaos");
+/// How the chaos test takes host `b` down mid-drain.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Outage {
+    /// SIGKILL once results start landing; the survivors' reapers
+    /// (1 s lease timeout) recover whatever `b` held.
+    Reaped,
+    /// SIGKILL once `b` holds a seed lease, then restart it at once
+    /// under the same host id. The lease timeout outlasts the test
+    /// deadline, so only `b`'s own startup recovery can finish its
+    /// orphans.
+    Restarted,
+}
+
+fn chaos(tag: &str, outage: Outage) {
+    let dir = temp_dir(tag);
     let n_jobs = 6;
     let moves = 12_000;
     let seeds = [1u64, 2];
@@ -144,32 +157,46 @@ fn killing_a_host_mid_drain_completes_all_jobs_bit_identically() {
     // Reference: the same queue drained by one uninterrupted daemon.
     let ref_dir = dir.join("reference");
     let ref_ids = submit_batch(&ref_dir, n_jobs, moves, &seeds);
-    let solo = spawn_daemon(&ref_dir, "solo", true, "30");
+    let solo = spawn_daemon(&ref_dir, "solo", "30");
     wait_all(vec![solo], 300);
     assert_eq!(done_count(&ref_dir), n_jobs);
 
-    // Victim cluster: three daemons; SIGKILL one as soon as results
-    // start landing, so it dies holding live leases.
+    // Victim cluster: three daemons; SIGKILL `b` so it dies holding
+    // live leases.
+    let lease_timeout = match outage {
+        Outage::Reaped => "1",
+        Outage::Restarted => "600",
+    };
     let spool_dir = dir.join("cluster");
     let ids = submit_batch(&spool_dir, n_jobs, moves, &seeds);
+    let spool = Spool::open(&spool_dir).unwrap();
     let mut children = vec![
-        spawn_daemon(&spool_dir, "a", true, "1"),
-        spawn_daemon(&spool_dir, "b", false, "1"),
-        spawn_daemon(&spool_dir, "c", false, "1"),
+        spawn_daemon(&spool_dir, "a", lease_timeout),
+        spawn_daemon(&spool_dir, "b", lease_timeout),
+        spawn_daemon(&spool_dir, "c", lease_timeout),
     ];
+    let strike = || match outage {
+        Outage::Reaped => done_count(&spool_dir) >= 1,
+        Outage::Restarted => spool
+            .leases()
+            .iter()
+            .any(|(name, lease)| matches!(name, LeaseName::Seed(..)) && lease.owner == "b"),
+    };
     let deadline = Instant::now() + Duration::from_secs(120);
-    while done_count(&spool_dir) < 1 {
+    while !strike() {
         assert!(
             Instant::now() < deadline,
-            "no job finished within 120s — cluster stuck before the kill"
+            "cluster stuck for 120s before the kill"
         );
         std::thread::sleep(Duration::from_millis(5));
     }
     let mut victim = children.remove(1);
     victim.kill().expect("SIGKILL delivered");
     let _ = victim.wait();
-    // The survivors' reapers (1 s lease timeout) recover whatever the
-    // victim held; --drain exits only once everything is terminal.
+    if outage == Outage::Restarted {
+        children.push(spawn_daemon(&spool_dir, "b", lease_timeout));
+    }
+    // --drain exits only once everything is terminal.
     wait_all(children, 300);
 
     assert_eq!(done_count(&spool_dir), n_jobs, "every job completed");
@@ -188,6 +215,16 @@ fn killing_a_host_mid_drain_completes_all_jobs_bit_identically() {
 }
 
 #[test]
+fn killing_a_host_mid_drain_completes_all_jobs_bit_identically() {
+    chaos("chaos", Outage::Reaped);
+}
+
+#[test]
+fn restarting_a_killed_host_under_its_own_id_completes_all_jobs_bit_identically() {
+    chaos("restart", Outage::Restarted);
+}
+
+#[test]
 fn concurrent_cancels_across_four_daemons_leave_one_terminal_record_per_job() {
     let dir = temp_dir("race");
     let spool_dir = dir.join("spool");
@@ -195,10 +232,10 @@ fn concurrent_cancels_across_four_daemons_leave_one_terminal_record_per_job() {
     let ids = submit_batch(&spool_dir, n_jobs, 2_000, &[1]);
 
     let daemons = vec![
-        spawn_daemon(&spool_dir, "a", true, "5"),
-        spawn_daemon(&spool_dir, "b", false, "5"),
-        spawn_daemon(&spool_dir, "c", false, "5"),
-        spawn_daemon(&spool_dir, "d", false, "5"),
+        spawn_daemon(&spool_dir, "a", "5"),
+        spawn_daemon(&spool_dir, "b", "5"),
+        spawn_daemon(&spool_dir, "c", "5"),
+        spawn_daemon(&spool_dir, "d", "5"),
     ];
     // Fire cancels at every other job while the drain is in full
     // flight. Some land before the claim (dequeued), some mid-run
@@ -250,7 +287,7 @@ fn concurrent_cancels_across_four_daemons_leave_one_terminal_record_per_job() {
             (id.clone(), std::fs::read(path).unwrap())
         })
         .collect();
-    let redrain = spawn_daemon(&spool_dir, "e", true, "5");
+    let redrain = spawn_daemon(&spool_dir, "e", "5");
     wait_all(vec![redrain], 120);
     for (id, bytes) in before {
         let done = spool_dir.join("done").join(format!("{id}.json"));

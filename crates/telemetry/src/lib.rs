@@ -138,10 +138,6 @@ pub enum Counter {
     LeaseLost,
     /// Seed tasks claimed from a job sharded by a different host.
     SeedStolen,
-    /// Portfolio best-so-far/move-stat records published.
-    PortfolioPublished,
-    /// Portfolio-driven mid-run adaptations applied.
-    PortfolioAdapted,
     /// Number of counters (array size), not a real counter.
     Count,
 }
@@ -178,8 +174,6 @@ const COUNTER_NAMES: [&str; Counter::Count as usize] = [
     "lease_reaped",
     "lease_lost",
     "seed_stolen",
-    "portfolio_published",
-    "portfolio_adapted",
 ];
 
 static COUNTERS: [AtomicU64; Counter::Count as usize] = [ZERO; Counter::Count as usize];
