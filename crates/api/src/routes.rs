@@ -258,8 +258,15 @@ fn submit(ctx: &Ctx, req: &Request, stream: &mut TcpStream, ka: bool) -> io::Res
 }
 
 /// The job's current lifecycle state, resolved in terminal-first order
-/// so a job mid-transition reads as its most-final state.
+/// so a job mid-transition reads as its most-final state. Each lookup
+/// reads one place, and the job can move on between two of them (queue
+/// → running → parked for finalize → done or cancelled), so a job the
+/// first pass misses in flight is looked up once more before a 404.
 fn state_of(spool: &Spool, id: &str) -> Option<Value> {
+    (0..2).find_map(|_| lookup_state(spool, id))
+}
+
+fn lookup_state(spool: &Spool, id: &str) -> Option<Value> {
     if let Some(record) = spool.done(id) {
         let status = record
             .get("status")
@@ -284,7 +291,12 @@ fn state_of(spool: &Spool, id: &str) -> Option<Value> {
                 .build(),
         );
     }
-    if let Some(job) = spool.running().into_iter().find(|j| j.id == id) {
+    // A parked spec (`Spool::claim_finalize`) is a job whose terminal
+    // record is being written: it is still running until that lands.
+    if let Some(job) = spool
+        .read_running_job(id)
+        .or_else(|| spool.read_parked_job(id))
+    {
         let p = job_progress(spool, &job);
         let attempted = Value::Obj(
             p.seed_attempted

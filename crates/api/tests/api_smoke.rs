@@ -64,6 +64,29 @@ fn stop(
 }
 
 #[test]
+fn a_job_being_finalized_answers_running_not_404() {
+    // `Spool::claim_finalize` parks the spec in `ckpt/<id>/job.json`
+    // until `Spool::complete` writes `done/`: in between, the job is in
+    // neither `running/` nor `done/`, and is still running.
+    let (server, shutdown, pool, dir) = start("finalizing", ServerOptions::default(), 0);
+    let addr = server.addr();
+    let resp = post(addr, "/v1/jobs", &ota_submit_body("parked", 1, 100));
+    assert_eq!(resp.status, 201, "body: {}", resp.text());
+    let id = resp.json().get("id").unwrap().as_str().unwrap().to_string();
+    let spool = Spool::open(dir.join("spool")).unwrap();
+    assert_eq!(spool.claim_next().map(|j| j.id), Some(id.clone()));
+    assert!(spool.claim_finalize(&id));
+
+    let resp = get(addr, &format!("/v1/jobs/{id}"));
+    assert_eq!(resp.status, 200, "body: {}", resp.text());
+    assert_eq!(
+        resp.json().get("state").and_then(Value::as_str),
+        Some("running")
+    );
+    stop(server, &shutdown, pool, &dir);
+}
+
+#[test]
 fn malformed_deck_is_a_structured_422_with_location() {
     let (server, shutdown, pool, dir) = start("parse", ServerOptions::default(), 0);
     let addr = server.addr();

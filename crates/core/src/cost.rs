@@ -366,7 +366,7 @@ impl std::ops::Sub for EvalStats {
 /// The compiled, executable cost function.
 ///
 /// Construction precompiles an evaluation plan (circuit skeletons,
-/// bindings, analysis vectors — see [`crate::plan`]); evaluation then
+/// bindings, analysis vectors — see `plan.rs`); evaluation then
 /// only writes values into preallocated structures, with no hash-map
 /// construction or string allocation on the hot path. Two recent
 /// configurations are kept as slots so that a proposal differing from

@@ -37,7 +37,7 @@ use crate::astrx::{determined_voltages, CompiledProblem};
 use crate::cost::{area_of, power_of, score_with, CostBreakdown, EvalFailure, MeasureSource};
 use crate::weights::AdaptiveWeights;
 use oblx_awe::{AweEngine, ReducedModel};
-use oblx_devices::{BjtLanes, BjtOp, DiodeLanes, DiodeOp, MosLanes, MosOp};
+use oblx_devices::{BjtOp, DiodeOp, MosOp};
 use oblx_linalg::Mat;
 use oblx_mna::{LinElement, LinearSystem, OutputSelector, SizedCircuit};
 use oblx_netlist::{ElementKind, EvalContext, EvalError, Expr, Netlist};
@@ -217,17 +217,11 @@ struct JigPlan {
 impl JigPlan {
     /// `true` when re-evaluating this jig is required for the given
     /// dirty variables / dirty bias devices.
-    fn dirty(
-        &self,
-        dirty_user: &[bool],
-        mos_dirty: &[bool],
-        bjt_dirty: &[bool],
-        diode_dirty: &[bool],
-    ) -> bool {
+    fn dirty(&self, dirty_user: &[bool], devices: &DirtyDevices) -> bool {
         self.bindings.iter().any(|b| b.dirty(dirty_user))
-            || self.mos_bind.iter().any(|&i| mos_dirty[i])
-            || self.bjt_bind.iter().any(|&i| bjt_dirty[i])
-            || self.diode_bind.iter().any(|&i| diode_dirty[i])
+            || self.mos_bind.iter().any(|&i| devices.mos[i])
+            || self.bjt_bind.iter().any(|&i| devices.bjt[i])
+            || self.diode_bind.iter().any(|&i| devices.diode[i])
     }
 }
 
@@ -250,13 +244,6 @@ pub(crate) struct EvalPlan {
     jigs: Vec<JigPlan>,
     bias_template: SizedCircuit,
     awe_order: usize,
-    /// Bias-device indices grouped by model card, for SoA batched
-    /// evaluation: all devices of one group share identical model
-    /// parameters, so one [`oblx_devices::MosModel`] drives the whole
-    /// lane batch and its parameter block is read once per group.
-    mos_groups: Vec<Vec<usize>>,
-    bjt_groups: Vec<Vec<usize>>,
-    diode_groups: Vec<Vec<usize>>,
 }
 
 impl EvalPlan {
@@ -297,25 +284,10 @@ impl EvalPlan {
                 x[i] = *v;
             }
         }
-        let volt = |n: Option<usize>| n.map_or(0.0, |i| x[i]);
-        let mos_ops: Vec<MosOp> = bias
-            .mosfets
-            .iter()
-            .map(|m| {
-                m.model
-                    .op(m.w, m.l, volt(m.d), volt(m.g), volt(m.s), volt(m.b))
-            })
-            .collect();
-        let bjt_ops: Vec<BjtOp> = bias
-            .bjts
-            .iter()
-            .map(|q| q.model.op(q.area, volt(q.c), volt(q.b), volt(q.e)))
-            .collect();
-        let diode_ops: Vec<DiodeOp> = bias
-            .diodes
-            .iter()
-            .map(|d| d.model.op(d.area, volt(d.a) - volt(d.k)))
-            .collect();
+        let mut mos_ops = vec![MosOp::default(); bias.mosfets.len()];
+        let mut bjt_ops = vec![BjtOp::default(); bias.bjts.len()];
+        let mut diode_ops = vec![DiodeOp::default(); bias.diodes.len()];
+        eval_devices(&bias, &x, None, &mut mos_ops, &mut bjt_ops, &mut diode_ops);
 
         let mut jigs: Vec<JigPlan> = Vec::new();
         // Source netlists parallel to `jigs`, for structural dedup.
@@ -390,10 +362,6 @@ impl EvalPlan {
             }
         }
 
-        let mos_groups = group_by_model(bias.mosfets.iter().map(|m| m.model.name()));
-        let bjt_groups = group_by_model(bias.bjts.iter().map(|q| q.model.name()));
-        let diode_groups = group_by_model(bias.diodes.iter().map(|d| d.model.name()));
-
         Some(EvalPlan {
             user_names,
             bias_bindings,
@@ -403,9 +371,6 @@ impl EvalPlan {
             jigs,
             bias_template: bias,
             awe_order,
-            mos_groups,
-            bjt_groups,
-            diode_groups,
         })
     }
 
@@ -425,25 +390,6 @@ impl EvalPlan {
                 .enumerate()
                 .all(|(i, (a, b))| a.to_bits() == b.to_bits() || !self.bias_linear_var[i])
     }
-}
-
-/// Partitions device indices into groups sharing a model card. Devices
-/// referencing the same `.model` card were built from one library entry
-/// and carry identical parameters, so name equality is parameter
-/// equality. First-appearance order keeps grouping deterministic.
-fn group_by_model<'a>(names: impl Iterator<Item = &'a str>) -> Vec<Vec<usize>> {
-    let mut keys: Vec<&str> = Vec::new();
-    let mut groups: Vec<Vec<usize>> = Vec::new();
-    for (i, name) in names.enumerate() {
-        match keys.iter().position(|k| *k == name) {
-            Some(g) => groups[g].push(i),
-            None => {
-                keys.push(name);
-                groups.push(vec![i]);
-            }
-        }
-    }
-    groups
 }
 
 /// Structural equality of two flattened jig netlists *ignoring ac
@@ -574,121 +520,43 @@ struct JigSlot {
     diode_ops: Vec<DiodeOp>,
 }
 
-/// Reusable gather/scatter buffers for SoA batched device evaluation.
-///
-/// Selected devices of one model group are gathered into contiguous
-/// lanes, evaluated in one [`oblx_devices::MosModel::op_batch`] call
-/// (bit-identical to per-device scalar calls), and scattered back to
-/// the slot's ops arrays through the recorded indices. All buffers keep
-/// their capacity across updates, so the steady state allocates nothing.
-#[derive(Debug, Clone, Default)]
-struct BatchWs {
-    mos_lanes: MosLanes,
-    bjt_lanes: BjtLanes,
-    diode_lanes: DiodeLanes,
-    /// Device indices gathered for the current group, parallel to the
-    /// lanes; drives the scatter of batch results.
-    idx: Vec<usize>,
-    mos_out: Vec<MosOp>,
-    bjt_out: Vec<BjtOp>,
-    diode_out: Vec<DiodeOp>,
+/// Per-kind flags over the bias devices: the ones whose geometry or
+/// terminal voltages changed on an incremental update.
+#[derive(Debug)]
+struct DirtyDevices {
+    mos: Vec<bool>,
+    bjt: Vec<bool>,
+    diode: Vec<bool>,
 }
 
-impl BatchWs {
-    fn eval_mos(
-        &mut self,
-        bias: &SizedCircuit,
-        x: &[f64],
-        groups: &[Vec<usize>],
-        ops: &mut [MosOp],
-        select: impl Fn(usize) -> bool,
-    ) {
-        let volt = |n: Option<usize>| n.map_or(0.0, |i| x[i]);
-        for g in groups {
-            self.mos_lanes.clear();
-            self.idx.clear();
-            for &i in g {
-                if select(i) {
-                    let m = &bias.mosfets[i];
-                    self.mos_lanes
-                        .push(m.w, m.l, volt(m.d), volt(m.g), volt(m.s), volt(m.b));
-                    self.idx.push(i);
-                }
-            }
-            if self.idx.is_empty() {
-                continue;
-            }
-            self.mos_out.clear();
-            bias.mosfets[g[0]]
+/// Evaluates bias-device operating points in place at node voltages
+/// `x`: the devices flagged in `only`, or every device for `None`. Each
+/// is the scalar call the cold path ([`crate::CostEvaluator::record`])
+/// makes, with the same arguments, so the results are bit-identical.
+fn eval_devices(
+    bias: &SizedCircuit,
+    x: &[f64],
+    only: Option<&DirtyDevices>,
+    mos_ops: &mut [MosOp],
+    bjt_ops: &mut [BjtOp],
+    diode_ops: &mut [DiodeOp],
+) {
+    let volt = |n: Option<usize>| n.map_or(0.0, |i| x[i]);
+    for (i, m) in bias.mosfets.iter().enumerate() {
+        if only.is_none_or(|f| f.mos[i]) {
+            mos_ops[i] = m
                 .model
-                .op_batch(&self.mos_lanes, &mut self.mos_out);
-            for (&i, op) in self.idx.iter().zip(&self.mos_out) {
-                ops[i] = *op;
-            }
+                .op(m.w, m.l, volt(m.d), volt(m.g), volt(m.s), volt(m.b));
         }
     }
-
-    fn eval_bjt(
-        &mut self,
-        bias: &SizedCircuit,
-        x: &[f64],
-        groups: &[Vec<usize>],
-        ops: &mut [BjtOp],
-        select: impl Fn(usize) -> bool,
-    ) {
-        let volt = |n: Option<usize>| n.map_or(0.0, |i| x[i]);
-        for g in groups {
-            self.bjt_lanes.clear();
-            self.idx.clear();
-            for &i in g {
-                if select(i) {
-                    let q = &bias.bjts[i];
-                    self.bjt_lanes.push(q.area, volt(q.c), volt(q.b), volt(q.e));
-                    self.idx.push(i);
-                }
-            }
-            if self.idx.is_empty() {
-                continue;
-            }
-            self.bjt_out.clear();
-            bias.bjts[g[0]]
-                .model
-                .op_batch(&self.bjt_lanes, &mut self.bjt_out);
-            for (&i, op) in self.idx.iter().zip(&self.bjt_out) {
-                ops[i] = *op;
-            }
+    for (i, q) in bias.bjts.iter().enumerate() {
+        if only.is_none_or(|f| f.bjt[i]) {
+            bjt_ops[i] = q.model.op(q.area, volt(q.c), volt(q.b), volt(q.e));
         }
     }
-
-    fn eval_diode(
-        &mut self,
-        bias: &SizedCircuit,
-        x: &[f64],
-        groups: &[Vec<usize>],
-        ops: &mut [DiodeOp],
-        select: impl Fn(usize) -> bool,
-    ) {
-        let volt = |n: Option<usize>| n.map_or(0.0, |i| x[i]);
-        for g in groups {
-            self.diode_lanes.clear();
-            self.idx.clear();
-            for &i in g {
-                if select(i) {
-                    let d = &bias.diodes[i];
-                    self.diode_lanes.push(d.area, volt(d.a) - volt(d.k));
-                    self.idx.push(i);
-                }
-            }
-            if self.idx.is_empty() {
-                continue;
-            }
-            self.diode_out.clear();
-            bias.diodes[g[0]]
-                .model
-                .op_batch(&self.diode_lanes, &mut self.diode_out);
-            for (&i, op) in self.idx.iter().zip(&self.diode_out) {
-                ops[i] = *op;
-            }
+    for (i, d) in bias.diodes.iter().enumerate() {
+        if only.is_none_or(|f| f.diode[i]) {
+            diode_ops[i] = d.model.op(d.area, volt(d.a) - volt(d.k));
         }
     }
 }
@@ -710,9 +578,6 @@ pub(crate) struct Slot {
     mos_ops: Vec<MosOp>,
     bjt_ops: Vec<BjtOp>,
     diode_ops: Vec<DiodeOp>,
-    /// SoA gather/scatter workspace for batched device evaluation
-    /// (reused across updates; see [`oblx_devices::batch`]).
-    batch: BatchWs,
     /// KCL conductance matrix and source vector (stamped with unit
     /// source scale, exactly as [`crate::cost::kcl_residual`]); reused
     /// across incremental updates because linear values are frozen on
@@ -728,19 +593,19 @@ pub(crate) struct Slot {
 
 impl Slot {
     pub(crate) fn new(plan: &EvalPlan) -> Slot {
-        let dim = plan.bias_template.dim();
+        let bias = &plan.bias_template;
+        let dim = bias.dim();
         Slot {
             valid: false,
             stamp: 0,
             user: Vec::new(),
             nodes: Vec::new(),
-            bias: plan.bias_template.clone(),
+            bias: bias.clone(),
             det: Vec::new(),
             x: vec![0.0; dim],
-            mos_ops: Vec::new(),
-            bjt_ops: Vec::new(),
-            diode_ops: Vec::new(),
-            batch: BatchWs::default(),
+            mos_ops: vec![MosOp::default(); bias.mosfets.len()],
+            bjt_ops: vec![BjtOp::default(); bias.bjts.len()],
+            diode_ops: vec![DiodeOp::default(); bias.diodes.len()],
             kcl_g: Mat::zeros(dim, dim),
             kcl_rhs: vec![0.0; dim],
             residual: vec![0.0; dim],
@@ -830,7 +695,14 @@ impl Slot {
                 }
             }
         }
-        self.recompute_all_ops(plan);
+        eval_devices(
+            &self.bias,
+            &self.x,
+            None,
+            &mut self.mos_ops,
+            &mut self.bjt_ops,
+            &mut self.diode_ops,
+        );
         // KCL linear part: unit source scale, identical stamp order to
         // `cost::kcl_residual`.
         let n = self.bias.nodes.len();
@@ -895,16 +767,18 @@ impl Slot {
         };
         // 1. Dirty bias bindings. Only geometry targets can appear here
         //    (linear targets force a plan-full update).
-        let mut mos_dirty = vec![false; self.bias.mosfets.len()];
-        let mut bjt_dirty = vec![false; self.bias.bjts.len()];
-        let mut diode_dirty = vec![false; self.bias.diodes.len()];
+        let mut dirty = DirtyDevices {
+            mos: vec![false; self.bias.mosfets.len()],
+            bjt: vec![false; self.bias.bjts.len()],
+            diode: vec![false; self.bias.diodes.len()],
+        };
         for b in &plan.bias_bindings {
             if b.dirty(&dirty_user) {
                 b.apply(&mut self.bias, &ctx)?;
                 match b.target {
-                    BindTarget::MosW(i) | BindTarget::MosL(i) => mos_dirty[i] = true,
-                    BindTarget::BjtArea(i) => bjt_dirty[i] = true,
-                    BindTarget::DiodeArea(i) => diode_dirty[i] = true,
+                    BindTarget::MosW(i) | BindTarget::MosL(i) => dirty.mos[i] = true,
+                    BindTarget::BjtArea(i) => dirty.bjt[i] = true,
+                    BindTarget::DiodeArea(i) => dirty.diode[i] = true,
                     _ => unreachable!("linear bias binding on the incremental path"),
                 }
             }
@@ -919,40 +793,30 @@ impl Slot {
         }
         // 3. Re-evaluate devices whose geometry or terminal voltages
         //    changed; operating points are pure functions of both.
-        //    Two passes: flag the dirty set, then batch-evaluate it per
-        //    model group through the SoA lanes (bit-identical to the
-        //    scalar calls this replaced).
-        {
-            let Slot {
-                bias,
-                x,
-                mos_ops,
-                bjt_ops,
-                diode_ops,
-                batch,
-                ..
-            } = &mut *self;
-            let x: &[f64] = x;
-            let moved = |n: Option<usize>| n.is_some_and(|i| node_changed[i]);
-            for (i, m) in bias.mosfets.iter().enumerate() {
-                if moved(m.d) || moved(m.g) || moved(m.s) || moved(m.b) {
-                    mos_dirty[i] = true;
-                }
+        let moved = |n: Option<usize>| n.is_some_and(|i| node_changed[i]);
+        for (i, m) in self.bias.mosfets.iter().enumerate() {
+            if moved(m.d) || moved(m.g) || moved(m.s) || moved(m.b) {
+                dirty.mos[i] = true;
             }
-            for (i, q) in bias.bjts.iter().enumerate() {
-                if moved(q.c) || moved(q.b) || moved(q.e) {
-                    bjt_dirty[i] = true;
-                }
-            }
-            for (i, d) in bias.diodes.iter().enumerate() {
-                if moved(d.a) || moved(d.k) {
-                    diode_dirty[i] = true;
-                }
-            }
-            batch.eval_mos(bias, x, &plan.mos_groups, mos_ops, |i| mos_dirty[i]);
-            batch.eval_bjt(bias, x, &plan.bjt_groups, bjt_ops, |i| bjt_dirty[i]);
-            batch.eval_diode(bias, x, &plan.diode_groups, diode_ops, |i| diode_dirty[i]);
         }
+        for (i, q) in self.bias.bjts.iter().enumerate() {
+            if moved(q.c) || moved(q.b) || moved(q.e) {
+                dirty.bjt[i] = true;
+            }
+        }
+        for (i, d) in self.bias.diodes.iter().enumerate() {
+            if moved(d.a) || moved(d.k) {
+                dirty.diode[i] = true;
+            }
+        }
+        eval_devices(
+            &self.bias,
+            &self.x,
+            Some(&dirty),
+            &mut self.mos_ops,
+            &mut self.bjt_ops,
+            &mut self.diode_ops,
+        );
         // 4. Residual: full recompute from the cached linear stamps.
         self.recompute_residual();
         // 5. Jigs intersecting the dirty set: rebind, restamp, re-AWE.
@@ -967,7 +831,7 @@ impl Slot {
             ..
         } = self;
         for (jp, js) in plan.jigs.iter().zip(jigs.iter_mut()) {
-            if !jp.dirty(&dirty_user, &mos_dirty, &bjt_dirty, &diode_dirty) {
+            if !jp.dirty(&dirty_user, &dirty) {
                 continue;
             }
             for b in &jp.bindings {
@@ -979,30 +843,6 @@ impl Slot {
         }
         self.valid = true;
         Ok(())
-    }
-
-    /// Recomputes every device operating point (plan-full path) through
-    /// the SoA batch evaluators, one batch per model group.
-    fn recompute_all_ops(&mut self, plan: &EvalPlan) {
-        let Slot {
-            bias,
-            x,
-            mos_ops,
-            bjt_ops,
-            diode_ops,
-            batch,
-            ..
-        } = self;
-        let x: &[f64] = x;
-        mos_ops.clear();
-        mos_ops.resize(bias.mosfets.len(), MosOp::default());
-        bjt_ops.clear();
-        bjt_ops.resize(bias.bjts.len(), BjtOp::default());
-        diode_ops.clear();
-        diode_ops.resize(bias.diodes.len(), DiodeOp::default());
-        batch.eval_mos(bias, x, &plan.mos_groups, mos_ops, |_| true);
-        batch.eval_bjt(bias, x, &plan.bjt_groups, bjt_ops, |_| true);
-        batch.eval_diode(bias, x, &plan.diode_groups, diode_ops, |_| true);
     }
 
     /// `f = G·x − rhs + device currents`, identical arithmetic and

@@ -602,19 +602,19 @@ fn maybe_finalize(shared: &Shared<'_>, file: &JobFile) {
         retire_if_cancelled(shared, file);
         return;
     }
-    let ckdir = spool.ckpt_dir(&file.id);
-    if !file
-        .request
-        .seeds
-        .iter()
-        .all(|&s| seed_done_path(&ckdir, s).exists())
-    {
-        return;
-    }
-    if !spool.claim_finalize(&file.id) {
+    if !all_seeds_done(spool, file) || !spool.claim_finalize(&file.id) {
         return;
     }
     finalize_from(shared, file);
+}
+
+/// Whether every seed of the job carries a done record.
+fn all_seeds_done(spool: &Spool, file: &JobFile) -> bool {
+    let ckdir = spool.ckpt_dir(&file.id);
+    file.request
+        .seeds
+        .iter()
+        .all(|&s| seed_done_path(&ckdir, s).exists())
 }
 
 /// Aggregates the per-seed done records into the job's result file —
@@ -724,9 +724,10 @@ fn finalize_from(shared: &Shared<'_>, file: &JobFile) {
 
 /// The reaper tick: beats this host's heartbeat, watches every lease
 /// (and lease-less claimed job or run entry, and peer heartbeat) for
-/// progress, and re-opens work whose holder died. Also finishes the two multi-step
-/// transitions a crash can orphan: incomplete shards of adopted jobs,
-/// and parked-but-unfinalized job specs.
+/// progress, and re-opens work whose holder died. Also finishes the
+/// multi-step transitions a crash can orphan: incomplete shards of
+/// adopted jobs, parked-but-unfinalized job specs, and running jobs
+/// whose every seed is done but which nobody finalized.
 fn reap(shared: &Shared<'_>) {
     let Ok(mut reaper) = shared.reaper.try_lock() else {
         return;
@@ -775,9 +776,10 @@ fn reap(shared: &Shared<'_>) {
             .entry(LeaseName::seed(&e.job, e.seed).stem())
             .or_insert_with(|| (String::new(), 0, e.fence));
     }
-    for id in shared.spool.running_ids() {
+    let running_ids = shared.spool.running_ids();
+    for id in &running_ids {
         current
-            .entry(LeaseName::job(&id).stem())
+            .entry(LeaseName::job(id).stem())
             .or_insert_with(|| (String::new(), 0, 0));
     }
     reaper.seen.retain(|k, _| current.contains_key(k));
@@ -876,14 +878,25 @@ fn reap(shared: &Shared<'_>) {
             }
             continue;
         }
-        let ckdir = shared.spool.ckpt_dir(&id);
-        if file
-            .request
-            .seeds
-            .iter()
-            .all(|&s| seed_done_path(&ckdir, s).exists())
-        {
+        if all_seeds_done(shared.spool, &file) {
             finalize_from(shared, &file);
+        }
+    }
+
+    // Orphaned last seeds: a worker killed between `finish_seed` and
+    // `maybe_finalize` on a job's last seed leaves the job in running/
+    // with no seed entry to trigger the finalize, and — on a host
+    // without the job lease, whose owner is alive — nothing to reap.
+    // A job claimed but not yet sharded has no seed entries either;
+    // only the done records tell the two apart.
+    for id in running_ids {
+        if shared.spool.has_live_seed_entries(&id) {
+            continue;
+        }
+        if let Some(job) = shared.spool.read_running_job(&id) {
+            if all_seeds_done(shared.spool, &job) {
+                maybe_finalize(shared, &job);
+            }
         }
     }
 }
@@ -1064,6 +1077,40 @@ mod tests {
             drain: true,
             ..PoolOptions::default()
         }
+    }
+
+    /// Drains `spool`, raising shutdown after `secs` so that a stalled
+    /// drain fails the test instead of hanging it.
+    fn drain_within(spool: &Spool, opts: &PoolOptions, secs: u64) -> RunStats {
+        let shutdown = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let pool = scope.spawn(|| run(spool, opts, &shutdown));
+            let deadline = Instant::now() + Duration::from_secs(secs);
+            while !pool.is_finished() && Instant::now() < deadline {
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            shutdown.store(true, Ordering::SeqCst);
+            pool.join().unwrap()
+        })
+    }
+
+    /// Claims the open entry of `seed` through `spool` and writes its
+    /// done record, as a worker does just before `finish_seed`. A failed
+    /// record is still a done record, and keeps the setup short.
+    fn claim_and_record_seed(spool: &Spool, job: &str, seed: u64) -> SeedEntry {
+        let entry = spool
+            .open_seed_entries()
+            .into_iter()
+            .find(|e| e.job == job && e.seed == seed)
+            .unwrap();
+        assert!(spool.claim_seed(&entry));
+        std::fs::create_dir_all(spool.ckpt_dir(job)).unwrap();
+        jobs::write_atomic(
+            &seed_done_path(&spool.ckpt_dir(job), seed),
+            &seed_record_to_json(&failed_seed_record(seed)),
+        )
+        .unwrap();
+        entry
     }
 
     #[test]
@@ -1357,20 +1404,57 @@ mod tests {
             lease_timeout: Duration::from_millis(300),
             ..drain_opts(1)
         };
-        let shutdown = AtomicBool::new(false);
-        let stats = std::thread::scope(|scope| {
-            let pool = scope.spawn(|| run(&spool, &opts, &shutdown));
-            let deadline = Instant::now() + Duration::from_secs(30);
-            while !pool.is_finished() && Instant::now() < deadline {
-                std::thread::sleep(Duration::from_millis(10));
-            }
-            // A stalled drain must fail the test, not hang it.
-            shutdown.store(true, Ordering::SeqCst);
-            pool.join().unwrap()
-        });
+        let stats = drain_within(&spool, &opts, 30);
         assert!(spool.done(&job.id).is_some(), "the job stalled in running/");
         assert_eq!(stats.jobs_completed, 1);
         assert!(stats.leases_reaped >= 1, "adopted through the reaper");
+        std::fs::remove_dir_all(spool.root()).unwrap();
+    }
+
+    #[test]
+    fn last_seed_killed_before_finalize_on_a_non_owner_still_drains() {
+        // Host `b` claims and shards the job, so it holds the job lease
+        // and stays alive. Host `a` finishes the only seed — done
+        // record, run entry and lease retired — and is killed before
+        // `maybe_finalize`. No seed entry is left to run, and the live
+        // lease owner is never reaped: the reaper must finalize.
+        let spool_b = temp_spool("finalize-orphan").with_host("b");
+        let job = spool_b.submit(small_job("amp", vec![5])).unwrap();
+        let claimed = spool_b.claim_next().unwrap();
+        spool_b.shard_job(&claimed).unwrap();
+        let spool_a = Spool::open(spool_b.root()).unwrap().with_host("a");
+        let entry = claim_and_record_seed(&spool_a, &job.id, 5);
+        spool_a.finish_seed(&entry);
+
+        let stats = drain_within(&spool_b, &drain_opts(1), 30);
+        assert!(
+            spool_b.done(&job.id).is_some(),
+            "the job stalled in running/"
+        );
+        assert_eq!(stats.jobs_failed, 1, "its only seed's record is a failure");
+        assert!(spool_b.running().is_empty());
+        std::fs::remove_dir_all(spool_b.root()).unwrap();
+    }
+
+    #[test]
+    fn seed_lease_left_by_a_kill_inside_finish_seed_is_released_at_finalize() {
+        // A holder killed inside `finish_seed` has removed its run entry
+        // but not its lease. The lease names this live host, so the
+        // reaper never clears it; finalizing the job must.
+        let spool = temp_spool("stray-lease");
+        let job = spool.submit(small_job("amp", vec![3, 4])).unwrap();
+        let claimed = spool.claim_next().unwrap();
+        spool.shard_job(&claimed).unwrap();
+        claim_and_record_seed(&spool, &job.id, 3);
+        std::fs::remove_file(spool.job_seeds_dir(&job.id).join("s3.run.json")).unwrap();
+
+        let stats = run(&spool, &drain_opts(1), &AtomicBool::new(false));
+        assert_eq!(stats.jobs_completed, 1, "seed 4 ran and won");
+        assert!(
+            spool.leases().is_empty(),
+            "leases left: {:?}",
+            spool.leases()
+        );
         std::fs::remove_dir_all(spool.root()).unwrap();
     }
 }

@@ -543,9 +543,26 @@ impl Spool {
         true
     }
 
-    /// Removes the whole seeds directory of a terminal job.
+    /// Retires every per-seed trace of a terminal job: its seeds
+    /// directory and every seed lease — including one whose holder was
+    /// killed inside [`Spool::finish_seed`], after the run entry went
+    /// but before the lease did.
     pub fn remove_seed_entries(&self, id: &str) {
         let _ = std::fs::remove_dir_all(self.job_seeds_dir(id));
+        let Ok(entries) = std::fs::read_dir(self.leases_dir()) else {
+            return;
+        };
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let lease = name
+                .to_str()
+                .and_then(|n| n.strip_suffix(".lease"))
+                .and_then(LeaseName::parse)
+                .filter(|l| matches!(l, LeaseName::Seed(job, _) if job == id));
+            if let Some(lease) = lease {
+                self.release_lease(&lease);
+            }
+        }
     }
 
     // -----------------------------------------------------------------

@@ -4,15 +4,24 @@
 //! incremental evaluator must report the same `CostBreakdown` as a
 //! from-scratch full evaluation of the final state, component by
 //! component, within 1e-12 relative.
+//!
+//! The deck is an input too: the diff amp alone puts MOS devices on the
+//! plan path, and its variant with a junction diode in the tail bias
+//! (sized by `W`, so geometry moves dirty it) adds a diode.
 
 use astrx_oblx::cost::{CostBreakdown, CostEvaluator};
 use astrx_oblx::{AdaptiveWeights, CompiledProblem};
 use proptest::prelude::*;
 
-const DIFFAMP: &str = include_str!("../crates/core/src/testdata/diffamp.ox");
-
-fn compiled() -> CompiledProblem {
-    astrx_oblx::astrx::compile_source(DIFFAMP).expect("diffamp compiles")
+/// Compiles one of the property's decks, named by its file under
+/// `crates/core/src/testdata/`.
+fn compiled(deck: &str) -> CompiledProblem {
+    let source = match deck {
+        "diffamp.ox" => include_str!("../crates/core/src/testdata/diffamp.ox"),
+        "diffamp_diode.ox" => include_str!("../crates/core/src/testdata/diffamp_diode.ox"),
+        _ => unreachable!("unknown deck {deck}"),
+    };
+    astrx_oblx::astrx::compile_source(source).expect("deck compiles")
 }
 
 fn close(a: f64, b: f64) -> bool {
@@ -55,10 +64,13 @@ proptest! {
     /// paths) and cross-check every visited state against the cold
     /// full-rebuild path of a second evaluator.
     #[test]
-    fn prop_incremental_matches_full_after_move_sequence(seed in 0u64..10_000) {
-        let c = compiled();
+    fn prop_incremental_matches_full_after_move_sequence(
+        deck in proptest::sample::select(vec!["diffamp.ox", "diffamp_diode.ox"]),
+        seed in 0u64..10_000,
+    ) {
+        let c = compiled(deck);
         let mut ev = CostEvaluator::new(&c);
-        prop_assert!(ev.has_plan(), "diffamp must compile to an eval plan");
+        prop_assert!(ev.has_plan(), "{deck} must compile to an eval plan");
         let cold = CostEvaluator::new(&c);
         let w = AdaptiveWeights::new(&c);
 
