@@ -412,7 +412,11 @@ where
     F: FnOnce(f64, f64) -> Result<ReducedModel, AweError>,
 {
     let _span = oblx_telemetry::span(oblx_telemetry::SpanKind::AweAnalyze);
-    let base = guard_model(fit_model(&mu, max_q)?)?;
+    let base = {
+        let _fit = oblx_telemetry::span(oblx_telemetry::SpanKind::AweBaseFit);
+        fit_model(&mu, max_q)
+    };
+    let base = guard_model(base?)?;
 
     // When the unity-gain crossing sits far above the dominant pole,
     // the poles governing the crossing are numerically invisible in
@@ -433,7 +437,11 @@ where
         return Ok(base);
     }
     let mu0 = mu[0];
-    match shifted_fit(w_cross, mu0) {
+    let shifted = {
+        let _shift = oblx_telemetry::span(oblx_telemetry::SpanKind::AweShift);
+        shifted_fit(w_cross, mu0)
+    };
+    match shifted {
         Ok(shifted) => {
             // Arbitration without extra solves: a trustworthy shifted
             // fit must also capture the dominant pole (it lies within a

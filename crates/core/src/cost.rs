@@ -16,7 +16,7 @@
 //! 6. penalize devices out of their required operating region → `C^dev`.
 
 use crate::astrx::{determined_voltages, CompiledProblem, RegionRequirement};
-use crate::plan::{score_slot, EvalPlan, Slot};
+use crate::plan::{score_slot, BiasPlan, EvalPlan, Slot};
 use crate::weights::AdaptiveWeights;
 use oblx_awe::ReducedModel;
 use oblx_devices::{BjtOp, DiodeOp, MosOp, Region};
@@ -374,9 +374,13 @@ impl std::ops::Sub for EvalStats {
 pub struct CostEvaluator<'a> {
     compiled: &'a CompiledProblem,
     awe_order: usize,
-    /// `None` when the problem cannot be planned (e.g. the initial
-    /// assembly fails); evaluation then uses the cold path, which
-    /// reproduces the underlying error per call.
+    /// The bias circuit's plan, shared by the slots and (through
+    /// [`CostEvaluator::bias_plan`]) OBLX's Newton moves. `None` only
+    /// when the bias circuit does not assemble at the initial point.
+    bias: Option<BiasPlan>,
+    /// `None` when the problem cannot be planned (e.g. a jig fails to
+    /// assemble at the initial point); evaluation then uses the cold
+    /// path, which reproduces the underlying error per call.
     plan: Option<EvalPlan>,
     slots: Vec<Slot>,
     clock: u64,
@@ -393,10 +397,15 @@ impl<'a> CostEvaluator<'a> {
     /// (used by the ablation benches).
     pub fn with_awe_order(compiled: &'a CompiledProblem, awe_order: usize) -> Self {
         let awe_order = awe_order.clamp(1, 12);
+        let bias = BiasPlan::build(compiled);
+        let plan = bias
+            .as_ref()
+            .and_then(|b| EvalPlan::build(compiled, b, awe_order));
         CostEvaluator {
             compiled,
             awe_order,
-            plan: EvalPlan::build(compiled, awe_order),
+            bias,
+            plan,
             slots: Vec::new(),
             clock: 0,
             stats: EvalStats::default(),
@@ -417,6 +426,11 @@ impl<'a> CostEvaluator<'a> {
     /// problems whose initial configuration cannot be assembled).
     pub fn has_plan(&self) -> bool {
         self.plan.is_some()
+    }
+
+    /// The bias plan, present even when the evaluation plan declined.
+    pub(crate) fn bias_plan(&self) -> Option<&BiasPlan> {
+        self.bias.as_ref()
     }
 
     /// Computes the full evaluation record for a configuration.
@@ -620,6 +634,7 @@ impl<'a> CostEvaluator<'a> {
     ) -> Result<CostBreakdown, EvalFailure> {
         let CostEvaluator {
             compiled,
+            bias,
             plan,
             slots,
             clock,
@@ -627,7 +642,8 @@ impl<'a> CostEvaluator<'a> {
             ..
         } = self;
         let plan = plan.as_ref().expect("caller checked the plan exists");
-        assert_eq!(user.len(), plan.user_len(), "var vector mismatch");
+        let bias = bias.as_ref().expect("an eval plan implies a bias plan");
+        assert_eq!(user.len(), compiled.user_vars.len(), "var vector mismatch");
         *clock += 1;
         // Exact state already materialized: rescore it (weights may
         // have changed since it was computed; the state data has not).
@@ -635,7 +651,7 @@ impl<'a> CostEvaluator<'a> {
             slot.stamp = *clock;
             stats.cached += 1;
             oblx_telemetry::incr(oblx_telemetry::Counter::EvalCached);
-            return score_slot(compiled, plan, slot, weights, user);
+            return score_slot(compiled, bias, plan, slot, weights, user);
         }
         // Victim: a failed slot first (nothing in it is reusable),
         // then grow to the two-slot working set, then the LRU slot —
@@ -644,7 +660,7 @@ impl<'a> CostEvaluator<'a> {
         let vi = if let Some(i) = slots.iter().position(|s| !s.valid()) {
             i
         } else if slots.len() < 2 {
-            slots.push(Slot::new(plan));
+            slots.push(Slot::new(bias, plan));
             slots.len() - 1
         } else {
             slots
@@ -656,16 +672,16 @@ impl<'a> CostEvaluator<'a> {
         };
         let slot = &mut slots[vi];
         slot.stamp = *clock;
-        if slot.can_increment(plan, user, nodes) {
+        if slot.can_increment(bias, user, nodes) {
             stats.incremental += 1;
             oblx_telemetry::incr(oblx_telemetry::Counter::EvalIncremental);
-            slot.update_incremental(plan, user, nodes)?;
+            slot.update_incremental(bias, plan, user, nodes)?;
         } else {
             stats.full += 1;
             oblx_telemetry::incr(oblx_telemetry::Counter::EvalFull);
-            slot.update_full(plan, user, nodes)?;
+            slot.update_full(bias, plan, user, nodes)?;
         }
-        score_slot(compiled, plan, slot, weights, user)
+        score_slot(compiled, bias, plan, slot, weights, user)
     }
 
     /// Debug-build invariant: the plan path is bit-compatible with a
@@ -907,13 +923,10 @@ pub fn kcl_residual(
     bjt_ops: &[BjtOp],
     diode_ops: &[DiodeOp],
 ) -> Vec<f64> {
-    let n = bias.nodes.len();
     let dim = bias.dim();
     let mut g = oblx_linalg::Mat::zeros(dim, dim);
-    let mut rhs = vec![0.0; dim];
-    for el in &bias.linear {
-        el.stamp_dc(&mut g, &mut rhs, n, 1.0);
-    }
+    let mut rhs = Vec::with_capacity(dim);
+    oblx_mna::dc::linear_stamp_into(bias, 1.0, &mut g, &mut rhs);
     let mut f = g.mul_vec(x);
     for (fi, r) in f.iter_mut().zip(rhs.iter()) {
         *fi -= r;

@@ -9,13 +9,15 @@
 
 use crate::astrx::{determined_voltages, CompiledProblem};
 use crate::cost::{CostBreakdown, CostEvaluator};
+use crate::plan::{BiasPlan, PatchedBias};
 use crate::weights::{AdaptiveWeights, WeightsSnapshot};
 use oblx_anneal::{
     AnnealCheckpoint, AnnealOptions, AnnealProblem, Annealer, ControlledOutcome, Directive,
     DirtySet, Trace,
 };
 use oblx_linalg::{Lu, Mat};
-use oblx_mna::{dc::linearize_at, SizedCircuit};
+use oblx_mna::dc::{linearize_at, linearize_into};
+use oblx_mna::SizedCircuit;
 use oblx_netlist::VarScale;
 use rand::{Rng, RngExt};
 use std::collections::HashMap;
@@ -139,6 +141,34 @@ pub struct OblxProblem<'a> {
     grid_steps: Vec<f64>,
     node_lo: f64,
     node_hi: f64,
+    /// `None` only when the bias circuit has no plan (it does not
+    /// assemble at the initial point); Newton moves then never apply.
+    newton: Option<NewtonWs>,
+}
+
+/// Weak conductance from every device terminal to ground in the Newton
+/// linearization (S).
+const NEWTON_GMIN: f64 = 1e-12;
+
+/// The Newton move's own state: a copy of the bias template patched to
+/// the user vector of the last step, and the linearization buffers.
+struct NewtonWs {
+    bias: PatchedBias,
+    x: Vec<f64>,
+    jac: Mat<f64>,
+    f: Vec<f64>,
+}
+
+impl NewtonWs {
+    fn new(bias: &BiasPlan) -> NewtonWs {
+        let dim = bias.template().dim();
+        NewtonWs {
+            bias: PatchedBias::new(bias),
+            x: vec![0.0; dim],
+            jac: Mat::zeros(dim, dim),
+            f: Vec::with_capacity(dim),
+        }
+    }
 }
 
 /// Move-class indices (public so diagnostics can name them).
@@ -184,16 +214,18 @@ impl<'a> OblxProblem<'a> {
         // Cold path, once per problem: label the telemetry move-class
         // slots so snapshots render real names instead of `class<i>`.
         oblx_telemetry::set_class_names(&move_class::NAMES);
+        let evaluator = CostEvaluator::with_awe_order(compiled, opts.awe_order);
         // Node-voltage exploration range: span of determined voltages
-        // (the supplies) widened by a volt on each side.
-        let vars = compiled.var_map(&compiled.initial_user_values());
+        // (the supplies) at the initial point, widened by a volt on each
+        // side.
         let (mut lo, mut hi) = (0.0f64, 0.0f64);
-        if let Ok(bias) = SizedCircuit::build(&compiled.bias_netlist, &vars, &compiled.lib) {
-            for v in determined_voltages(&bias).into_iter().flatten() {
+        let newton = evaluator.bias_plan().map(|bias| {
+            for v in determined_voltages(bias.template()).into_iter().flatten() {
                 lo = lo.min(v);
                 hi = hi.max(v);
             }
-        }
+            NewtonWs::new(bias)
+        });
         let grid_steps = compiled
             .user_vars
             .iter()
@@ -207,13 +239,14 @@ impl<'a> OblxProblem<'a> {
             .collect();
         OblxProblem {
             compiled,
-            evaluator: CostEvaluator::with_awe_order(compiled, opts.awe_order),
+            evaluator,
             weights: AdaptiveWeights::new(compiled),
             opts,
             evals: 0,
             grid_steps,
             node_lo: lo - 1.0,
             node_hi: hi + 1.0,
+            newton,
         }
     }
 
@@ -262,40 +295,67 @@ impl<'a> OblxProblem<'a> {
         self.clamp_user(i, value)
     }
 
-    /// Newton–Raphson move on node voltages: solve the free-node block
-    /// of `J·Δ = −F` at the current configuration.
-    fn newton_move(&self, state: &OblxState, alpha: f64) -> Option<OblxState> {
-        let vars = self.compiled.var_map(&state.user);
-        let bias =
-            SizedCircuit::build(&self.compiled.bias_netlist, &vars, &self.compiled.lib).ok()?;
-        let det = determined_voltages(&bias);
-        let mut x = vec![0.0; bias.dim()];
-        let mut free = Vec::new();
-        let mut fi = 0usize;
-        for (i, dv) in det.iter().enumerate() {
-            match dv {
-                Some(v) => x[i] = *v,
-                None => {
-                    x[i] = state.nodes.get(fi).copied().unwrap_or(0.0);
-                    free.push(i);
-                    fi += 1;
-                }
-            }
-        }
-        let (jac, f) = linearize_at(&bias, &x, 1.0, 1e-12);
-        let nf = free.len();
-        if nf == 0 {
+    /// The Newton–Raphson step on the free node voltages at `state`:
+    /// the solution Δ of the free-node block of `J·Δ = −F`. `None` when
+    /// the bias circuit does not assemble at `state.user`, has no free
+    /// node, or the block is singular.
+    ///
+    /// The step goes through the bias plan: a private copy of the bias
+    /// template is patched to `state.user` (only the bindings whose
+    /// variables changed since the last step), its determined voltages
+    /// and linear stamps are recomputed only when a linear bias
+    /// variable moved, and the devices are linearized in place. Δ is
+    /// bit-identical to [`reference_newton_delta`]; debug builds assert
+    /// that on every move.
+    pub fn newton_delta(&mut self, state: &OblxState) -> Option<Vec<f64>> {
+        let _span = oblx_telemetry::span(oblx_telemetry::SpanKind::NewtonStep);
+        let OblxProblem {
+            evaluator, newton, ..
+        } = self;
+        let (bias, ws) = (evaluator.bias_plan()?, newton.as_mut()?);
+        ws.bias.sync(bias, &state.user).ok()?;
+        let free = bias.free_nodes();
+        if free.is_empty() {
             return None;
         }
-        let mut jff = Mat::zeros(nf, nf);
-        let mut rhs = vec![0.0; nf];
-        for (r, &nr) in free.iter().enumerate() {
-            rhs[r] = -f[nr];
-            for (c, &nc) in free.iter().enumerate() {
-                jff[(r, c)] = jac.get(nr, nc);
-            }
+        let mut free_v = state.nodes.iter().copied();
+        for (xi, dv) in ws.x.iter_mut().zip(ws.bias.det()) {
+            *xi = match dv {
+                Some(v) => *v,
+                None => free_v.next().unwrap_or(0.0),
+            };
         }
-        let delta = Lu::factor(jff).ok()?.solve(&rhs);
+        let (g, rhs) = ws.bias.linear();
+        linearize_into(
+            ws.bias.circuit(),
+            g,
+            rhs,
+            &ws.x,
+            NEWTON_GMIN,
+            &mut ws.jac,
+            &mut ws.f,
+        );
+        free_block_step(&ws.jac, &ws.f, free)
+    }
+
+    /// Newton–Raphson move on node voltages: the damped step `alpha·Δ`
+    /// of [`OblxProblem::newton_delta`], clamped per node.
+    fn newton_move(&mut self, state: &OblxState, alpha: f64) -> Option<OblxState> {
+        let delta = self.newton_delta(state);
+        #[cfg(debug_assertions)]
+        {
+            let bits = |d: &Option<Vec<f64>>| {
+                d.as_ref()
+                    .map(|d| d.iter().map(|v| v.to_bits()).collect::<Vec<_>>())
+            };
+            let want = reference_newton_delta(self.compiled, state);
+            assert_eq!(
+                bits(&delta),
+                bits(&want),
+                "bias-plan Newton step diverged from the reference step"
+            );
+        }
+        let delta = delta?;
         let mut next = state.clone();
         for (k, d) in delta.iter().enumerate() {
             let step = (alpha * d).clamp(-1.0, 1.0);
@@ -303,6 +363,52 @@ impl<'a> OblxProblem<'a> {
         }
         Some(next)
     }
+}
+
+/// The Newton step Δ of [`OblxProblem::newton_delta`], computed from
+/// scratch: build the variable map, assemble the bias circuit from its
+/// netlist, find the determined voltages, linearize with
+/// [`linearize_at`], and solve the free-node block with the dense
+/// [`Lu`]. This is the reference the bias-plan step is checked against
+/// (debug builds, the `newton_equivalence` proptest, and the
+/// `newton_step` bench); the move loop never calls it.
+pub fn reference_newton_delta(compiled: &CompiledProblem, state: &OblxState) -> Option<Vec<f64>> {
+    let vars = compiled.var_map(&state.user);
+    let bias = SizedCircuit::build(&compiled.bias_netlist, &vars, &compiled.lib).ok()?;
+    let det = determined_voltages(&bias);
+    let mut x = vec![0.0; bias.dim()];
+    let mut free = Vec::new();
+    let mut fi = 0usize;
+    for (i, dv) in det.iter().enumerate() {
+        match dv {
+            Some(v) => x[i] = *v,
+            None => {
+                x[i] = state.nodes.get(fi).copied().unwrap_or(0.0);
+                free.push(i);
+                fi += 1;
+            }
+        }
+    }
+    if free.is_empty() {
+        return None;
+    }
+    let (jac, f) = linearize_at(&bias, &x, 1.0, NEWTON_GMIN);
+    free_block_step(&jac, &f, &free)
+}
+
+/// Solves the free-node block of `J·Δ = −F` with the dense [`Lu`];
+/// `None` when the block is singular.
+fn free_block_step(jac: &Mat<f64>, f: &[f64], free: &[usize]) -> Option<Vec<f64>> {
+    let nf = free.len();
+    let mut jff = Mat::zeros(nf, nf);
+    let mut rhs = vec![0.0; nf];
+    for (r, &nr) in free.iter().enumerate() {
+        rhs[r] = -f[nr];
+        for (c, &nc) in free.iter().enumerate() {
+            jff[(r, c)] = jac.get(nr, nc);
+        }
+    }
+    Some(Lu::factor(jff).ok()?.solve(&rhs))
 }
 
 impl AnnealProblem for OblxProblem<'_> {

@@ -39,6 +39,7 @@ use crate::weights::AdaptiveWeights;
 use oblx_awe::{AweEngine, ReducedModel};
 use oblx_devices::{BjtOp, DiodeOp, MosOp};
 use oblx_linalg::Mat;
+use oblx_mna::dc::linear_stamp_into;
 use oblx_mna::{LinElement, LinearSystem, OutputSelector, SizedCircuit};
 use oblx_netlist::{ElementKind, EvalContext, EvalError, Expr, Netlist};
 
@@ -225,54 +226,236 @@ impl JigPlan {
     }
 }
 
-/// The precompiled evaluation plan for one [`CompiledProblem`].
+/// The bias circuit, precompiled once per problem: the template built
+/// at the initial point, the [`Binding`]s that patch geometry and
+/// source values into it in place, and the structural facts derived
+/// from it. It depends only on the bias netlist, which
+/// [`crate::astrx::compile`] already assembled at the same point, so it
+/// builds for every compiled problem, even when a jig makes the
+/// [`EvalPlan`] decline. The evaluation slots and OBLX's Newton moves
+/// both patch their copies of the template through [`BiasPlan::patch`].
 #[derive(Debug, Clone)]
-pub(crate) struct EvalPlan {
+pub(crate) struct BiasPlan {
     /// User-variable names, parallel to the value vector.
     user_names: Vec<String>,
-    bias_bindings: Vec<Binding>,
+    bindings: Vec<Binding>,
     /// Per user variable: `true` when it appears in a *linear* bias
     /// element value. Changing such a variable invalidates the
-    /// determined-voltage tree and the cached KCL matrix, forcing a
+    /// determined-voltage tree and the linear stamps, forcing a
     /// plan-full update.
-    bias_linear_var: Vec<bool>,
+    linear_var: Vec<bool>,
     /// Free bias-node indices in node-variable order (structural:
     /// independent of element values).
     free_nodes: Vec<usize>,
+    template: SizedCircuit,
+}
+
+impl BiasPlan {
+    /// Builds the bias plan at the initial point, or `None` when the
+    /// bias circuit does not assemble there (never for a problem that
+    /// [`crate::astrx::compile`] accepted).
+    pub(crate) fn build(compiled: &CompiledProblem) -> Option<BiasPlan> {
+        let user_names: Vec<String> = compiled.user_vars.iter().map(|v| v.name.clone()).collect();
+        let vars = compiled.var_map(&compiled.initial_user_values());
+        let template = SizedCircuit::build(&compiled.bias_netlist, &vars, &compiled.lib).ok()?;
+        let free_nodes = free_nodes_of(&determined_voltages(&template));
+        let bindings = bindings_for(&compiled.bias_netlist, &template, &user_names)?;
+        let mut linear_var = vec![false; user_names.len()];
+        for b in &bindings {
+            if b.target.is_linear() {
+                for &d in &b.deps {
+                    linear_var[d] = true;
+                }
+            }
+        }
+        Some(BiasPlan {
+            user_names,
+            bindings,
+            linear_var,
+            free_nodes,
+            template,
+        })
+    }
+
+    /// The bias circuit at the initial point.
+    pub(crate) fn template(&self) -> &SizedCircuit {
+        &self.template
+    }
+
+    /// Free bias-node indices in node-variable order.
+    pub(crate) fn free_nodes(&self) -> &[usize] {
+        &self.free_nodes
+    }
+
+    /// `true` when every changed user variable (bitwise, `from` vs.
+    /// `to`) avoids the linear bias elements, so determined voltages
+    /// and linear stamps computed at `from` hold at `to`.
+    pub(crate) fn linear_unchanged(&self, from: &[f64], to: &[f64]) -> bool {
+        from.len() == to.len()
+            && from
+                .iter()
+                .zip(to)
+                .enumerate()
+                .all(|(i, (a, b))| a.to_bits() == b.to_bits() || !self.linear_var[i])
+    }
+
+    /// Patches `ckt` (a copy of the template) to the user vector
+    /// `user`: every binding for `dirty == None`, else only those whose
+    /// variables are flagged dirty. `applied` sees the target of each
+    /// binding written, in order. Stops at the first failing binding,
+    /// leaving `ckt` partly patched; the caller must then re-patch every
+    /// binding before trusting it again.
+    fn patch(
+        &self,
+        ckt: &mut SizedCircuit,
+        user: &[f64],
+        dirty: Option<&[bool]>,
+        mut applied: impl FnMut(BindTarget),
+    ) -> Result<(), EvalFailure> {
+        let ctx = self.ctx(user);
+        for b in &self.bindings {
+            if dirty.is_none_or(|d| b.dirty(d)) {
+                b.apply(ckt, &ctx)?;
+                applied(b.target);
+            }
+        }
+        Ok(())
+    }
+
+    /// The expression context over a user vector.
+    fn ctx<'a>(&'a self, user: &'a [f64]) -> VarsCtx<'a> {
+        VarsCtx {
+            names: &self.user_names,
+            values: user,
+        }
+    }
+}
+
+/// The free (undetermined) node indices of a determined-voltage vector.
+fn free_nodes_of(det: &[Option<f64>]) -> Vec<usize> {
+    det.iter()
+        .enumerate()
+        .filter(|(_, d)| d.is_none())
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// A private copy of the bias template kept patched to one user vector,
+/// with the value-dependent data a relaxed-dc Newton step reads: the
+/// determined voltages and the linear stamps `(G, rhs)` at unit source
+/// scale. [`PatchedBias::sync`] re-applies only the bindings whose
+/// variables changed since the last sync, and recomputes the rest only
+/// when a linear variable moved, so every field equals what a
+/// from-scratch build at the same user vector would give, bit for bit.
+#[derive(Debug, Clone)]
+pub(crate) struct PatchedBias {
+    ckt: SizedCircuit,
+    /// User vector `ckt` is patched to; meaningless while `!valid`.
+    user: Vec<f64>,
+    /// `false` until the first successful sync and after a failed one
+    /// (the circuit may be partly patched): the next sync re-applies
+    /// every binding.
+    valid: bool,
+    det: Vec<Option<f64>>,
+    g: Mat<f64>,
+    rhs: Vec<f64>,
+    /// Scratch: per user variable, changed since the last sync.
+    dirty: Vec<bool>,
+}
+
+impl PatchedBias {
+    pub(crate) fn new(bias: &BiasPlan) -> PatchedBias {
+        let dim = bias.template.dim();
+        PatchedBias {
+            ckt: bias.template.clone(),
+            user: Vec::new(),
+            valid: false,
+            det: Vec::new(),
+            g: Mat::zeros(dim, dim),
+            rhs: Vec::new(),
+            dirty: Vec::new(),
+        }
+    }
+
+    /// Brings the circuit to `user`.
+    ///
+    /// # Errors
+    ///
+    /// The first failing binding's [`EvalFailure`], exactly where
+    /// [`SizedCircuit::build`] would fail at `user`.
+    pub(crate) fn sync(&mut self, bias: &BiasPlan, user: &[f64]) -> Result<(), EvalFailure> {
+        let full = !self.valid || self.user.len() != user.len();
+        if !full {
+            self.dirty.clear();
+            self.dirty.extend(
+                self.user
+                    .iter()
+                    .zip(user)
+                    .map(|(a, b)| a.to_bits() != b.to_bits()),
+            );
+            if !self.dirty.contains(&true) {
+                return Ok(());
+            }
+        }
+        let relinearize = full || !bias.linear_unchanged(&self.user, user);
+        self.valid = false;
+        let dirty = (!full).then_some(self.dirty.as_slice());
+        bias.patch(&mut self.ckt, user, dirty, |_| {})?;
+        if relinearize {
+            self.det = determined_voltages(&self.ckt);
+            debug_assert!(
+                free_nodes_of(&self.det) == bias.free_nodes,
+                "free-node pattern must be value-independent"
+            );
+            linear_stamp_into(&self.ckt, 1.0, &mut self.g, &mut self.rhs);
+        }
+        self.user.clear();
+        self.user.extend_from_slice(user);
+        self.valid = true;
+        Ok(())
+    }
+
+    /// The patched circuit.
+    pub(crate) fn circuit(&self) -> &SizedCircuit {
+        &self.ckt
+    }
+
+    /// Determined node voltages (`None` for free nodes).
+    pub(crate) fn det(&self) -> &[Option<f64>] {
+        &self.det
+    }
+
+    /// The linear stamp `(G, rhs)` at unit source scale.
+    pub(crate) fn linear(&self) -> (&Mat<f64>, &[f64]) {
+        (&self.g, &self.rhs)
+    }
+}
+
+/// The precompiled evaluation plan for one [`CompiledProblem`]: jigs
+/// and analyses over a [`BiasPlan`] that the caller owns.
+#[derive(Debug, Clone)]
+pub(crate) struct EvalPlan {
     /// Analysis handles, parallel to [`Slot::models`].
     analysis_names: Vec<String>,
     jigs: Vec<JigPlan>,
-    bias_template: SizedCircuit,
     awe_order: usize,
 }
 
 impl EvalPlan {
-    /// Builds the plan, or `None` when the problem cannot be planned —
-    /// initial assembly fails, a jig device lacks a bias counterpart, a
-    /// probe or stimulus is unknown — in which case the evaluator falls
-    /// back to the cold path, which reproduces the corresponding error
-    /// on every evaluation.
-    pub(crate) fn build(compiled: &CompiledProblem, awe_order: usize) -> Option<EvalPlan> {
-        let user_names: Vec<String> = compiled.user_vars.iter().map(|v| v.name.clone()).collect();
-        let initial = compiled.initial_user_values();
-        let vars = compiled.var_map(&initial);
-        let bias = SizedCircuit::build(&compiled.bias_netlist, &vars, &compiled.lib).ok()?;
-        let det = determined_voltages(&bias);
-        let free_nodes: Vec<usize> = det
-            .iter()
-            .enumerate()
-            .filter(|(_, d)| d.is_none())
-            .map(|(i, _)| i)
-            .collect();
-        let bias_bindings = bindings_for(&compiled.bias_netlist, &bias, &user_names)?;
-        let mut bias_linear_var = vec![false; user_names.len()];
-        for b in &bias_bindings {
-            if b.target.is_linear() {
-                for &d in &b.deps {
-                    bias_linear_var[d] = true;
-                }
-            }
-        }
+    /// Builds the plan over `bias`, or `None` when the problem cannot be
+    /// planned — a jig fails to assemble at the initial point, a jig
+    /// device lacks a bias counterpart, a probe or stimulus is unknown —
+    /// in which case the evaluator falls back to the cold path, which
+    /// reproduces the corresponding error on every evaluation.
+    pub(crate) fn build(
+        compiled: &CompiledProblem,
+        bias_plan: &BiasPlan,
+        awe_order: usize,
+    ) -> Option<EvalPlan> {
+        let user_names = &bias_plan.user_names;
+        let vars = compiled.var_map(&compiled.initial_user_values());
+        let bias = &bias_plan.template;
+        let det = determined_voltages(bias);
 
         // Template device operating points at the determined voltages
         // (free nodes at 0 V). Only the *structure* of the template
@@ -287,7 +470,7 @@ impl EvalPlan {
         let mut mos_ops = vec![MosOp::default(); bias.mosfets.len()];
         let mut bjt_ops = vec![BjtOp::default(); bias.bjts.len()];
         let mut diode_ops = vec![DiodeOp::default(); bias.diodes.len()];
-        eval_devices(&bias, &x, None, &mut mos_ops, &mut bjt_ops, &mut diode_ops);
+        eval_devices(bias, &x, None, &mut mos_ops, &mut bjt_ops, &mut diode_ops);
 
         let mut jigs: Vec<JigPlan> = Vec::new();
         // Source netlists parallel to `jigs`, for structural dedup.
@@ -300,7 +483,7 @@ impl EvalPlan {
                 continue;
             }
             let ckt = SizedCircuit::build(&jig.netlist, &vars, &compiled.lib).ok()?;
-            let bindings = bindings_for(&jig.netlist, &ckt, &user_names)?;
+            let bindings = bindings_for(&jig.netlist, &ckt, user_names)?;
             // `rposition`: with duplicate bias device names the cold
             // path's name map keeps the last insertion.
             let mos_bind: Vec<usize> = ckt
@@ -363,32 +546,10 @@ impl EvalPlan {
         }
 
         Some(EvalPlan {
-            user_names,
-            bias_bindings,
-            bias_linear_var,
-            free_nodes,
             analysis_names,
             jigs,
-            bias_template: bias,
             awe_order,
         })
-    }
-
-    /// User-variable count (for the caller's length assertion).
-    pub(crate) fn user_len(&self) -> usize {
-        self.user_names.len()
-    }
-
-    /// `true` when every changed user variable (bitwise, `slot_user`
-    /// vs. `user`) avoids the linear bias elements — the precondition
-    /// for an incremental update against that slot.
-    pub(crate) fn incremental_ok(&self, slot_user: &[f64], user: &[f64]) -> bool {
-        slot_user.len() == user.len()
-            && slot_user
-                .iter()
-                .zip(user)
-                .enumerate()
-                .all(|(i, (a, b))| a.to_bits() == b.to_bits() || !self.bias_linear_var[i])
     }
 }
 
@@ -592,8 +753,8 @@ pub(crate) struct Slot {
 }
 
 impl Slot {
-    pub(crate) fn new(plan: &EvalPlan) -> Slot {
-        let bias = &plan.bias_template;
+    pub(crate) fn new(bias: &BiasPlan, plan: &EvalPlan) -> Slot {
+        let bias = &bias.template;
         let dim = bias.dim();
         Slot {
             valid: false,
@@ -647,8 +808,8 @@ impl Slot {
 
     /// `true` when an incremental update against this slot is legal for
     /// the proposed state.
-    pub(crate) fn can_increment(&self, plan: &EvalPlan, user: &[f64], nodes: &[f64]) -> bool {
-        self.valid && self.nodes.len() == nodes.len() && plan.incremental_ok(&self.user, user)
+    pub(crate) fn can_increment(&self, bias: &BiasPlan, user: &[f64], nodes: &[f64]) -> bool {
+        self.valid && self.nodes.len() == nodes.len() && bias.linear_unchanged(&self.user, user)
     }
 
     /// Re-applies every binding and recomputes everything. Mirrors the
@@ -656,6 +817,7 @@ impl Slot {
     /// structural kind (interning, name maps, model lookup).
     pub(crate) fn update_full(
         &mut self,
+        bias: &BiasPlan,
         plan: &EvalPlan,
         user: &[f64],
         nodes: &[f64],
@@ -665,21 +827,10 @@ impl Slot {
         self.user.extend_from_slice(user);
         self.nodes.clear();
         self.nodes.extend_from_slice(nodes);
-        let ctx = VarsCtx {
-            names: &plan.user_names,
-            values: user,
-        };
-        for b in &plan.bias_bindings {
-            b.apply(&mut self.bias, &ctx)?;
-        }
+        bias.patch(&mut self.bias, user, None, |_| {})?;
         self.det = determined_voltages(&self.bias);
         debug_assert!(
-            self.det
-                .iter()
-                .enumerate()
-                .filter(|(_, d)| d.is_none())
-                .map(|(i, _)| i)
-                .eq(plan.free_nodes.iter().copied()),
+            free_nodes_of(&self.det) == bias.free_nodes,
             "free-node pattern must be value-independent"
         );
         for v in self.x.iter_mut() {
@@ -705,14 +856,7 @@ impl Slot {
         );
         // KCL linear part: unit source scale, identical stamp order to
         // `cost::kcl_residual`.
-        let n = self.bias.nodes.len();
-        self.kcl_g.clear();
-        for r in self.kcl_rhs.iter_mut() {
-            *r = 0.0;
-        }
-        for el in &self.bias.linear {
-            el.stamp_dc(&mut self.kcl_g, &mut self.kcl_rhs, n, 1.0);
-        }
+        linear_stamp_into(&self.bias, 1.0, &mut self.kcl_g, &mut self.kcl_rhs);
         self.recompute_residual();
         let Slot {
             jigs,
@@ -722,6 +866,7 @@ impl Slot {
             models,
             ..
         } = self;
+        let ctx = bias.ctx(user);
         for (jp, js) in plan.jigs.iter().zip(jigs.iter_mut()) {
             for b in &jp.bindings {
                 b.apply(&mut js.ckt, &ctx)?;
@@ -742,6 +887,7 @@ impl Slot {
     /// floating-point drift and break bit-identity with the cold path.
     pub(crate) fn update_incremental(
         &mut self,
+        bias: &BiasPlan,
         plan: &EvalPlan,
         user: &[f64],
         nodes: &[f64],
@@ -761,10 +907,6 @@ impl Slot {
         self.valid = false;
         self.user.copy_from_slice(user);
         self.nodes.copy_from_slice(nodes);
-        let ctx = VarsCtx {
-            names: &plan.user_names,
-            values: user,
-        };
         // 1. Dirty bias bindings. Only geometry targets can appear here
         //    (linear targets force a plan-full update).
         let mut dirty = DirtyDevices {
@@ -772,20 +914,15 @@ impl Slot {
             bjt: vec![false; self.bias.bjts.len()],
             diode: vec![false; self.bias.diodes.len()],
         };
-        for b in &plan.bias_bindings {
-            if b.dirty(&dirty_user) {
-                b.apply(&mut self.bias, &ctx)?;
-                match b.target {
-                    BindTarget::MosW(i) | BindTarget::MosL(i) => dirty.mos[i] = true,
-                    BindTarget::BjtArea(i) => dirty.bjt[i] = true,
-                    BindTarget::DiodeArea(i) => dirty.diode[i] = true,
-                    _ => unreachable!("linear bias binding on the incremental path"),
-                }
-            }
-        }
+        bias.patch(&mut self.bias, user, Some(&dirty_user), |t| match t {
+            BindTarget::MosW(i) | BindTarget::MosL(i) => dirty.mos[i] = true,
+            BindTarget::BjtArea(i) => dirty.bjt[i] = true,
+            BindTarget::DiodeArea(i) => dirty.diode[i] = true,
+            _ => unreachable!("linear bias binding on the incremental path"),
+        })?;
         // 2. Dirty free-node voltages.
         let mut node_changed = vec![false; self.bias.nodes.len()];
-        for (k, &ni) in plan.free_nodes.iter().enumerate() {
+        for (k, &ni) in bias.free_nodes.iter().enumerate() {
             if k < dirty_node.len() && dirty_node[k] {
                 self.x[ni] = nodes[k];
                 node_changed[ni] = true;
@@ -830,6 +967,7 @@ impl Slot {
             models,
             ..
         } = self;
+        let ctx = bias.ctx(user);
         for (jp, js) in plan.jigs.iter().zip(jigs.iter_mut()) {
             if !jp.dirty(&dirty_user, &dirty) {
                 continue;
@@ -1021,6 +1159,7 @@ impl EvalContext for PlanCtx<'_> {
 /// in `cost::score_with`, fed from the slot's precomputed state.
 pub(crate) fn score_slot(
     compiled: &CompiledProblem,
+    bias: &BiasPlan,
     plan: &EvalPlan,
     slot: &Slot,
     weights: &AdaptiveWeights,
@@ -1028,7 +1167,7 @@ pub(crate) fn score_slot(
 ) -> Result<CostBreakdown, EvalFailure> {
     debug_assert!(slot.valid, "scoring an invalid slot");
     let ctx = PlanCtx {
-        user_names: &plan.user_names,
+        user_names: &bias.user_names,
         user,
         bias: &slot.bias,
         residual: &slot.residual,
@@ -1045,7 +1184,7 @@ pub(crate) fn score_slot(
         &slot.bias.mosfets,
         &slot.mos_ops,
         &slot.bjt_ops,
-        &plan.free_nodes,
+        &bias.free_nodes,
         &slot.residual,
     )
 }
@@ -1064,7 +1203,8 @@ mod tests {
     fn two_stage_supply_jigs_share_one_system() {
         let b = bench_suite::by_name("Two-Stage").expect("Two-Stage exists");
         let compiled = compile(b.problem().expect("parses")).expect("compiles");
-        let plan = EvalPlan::build(&compiled, AWE_ORDER).expect("plannable");
+        let bias = BiasPlan::build(&compiled).expect("bias plan builds");
+        let plan = EvalPlan::build(&compiled, &bias, AWE_ORDER).expect("plannable");
         assert_eq!(plan.analysis_names.len(), 3, "three analyses expected");
         assert_eq!(plan.jigs.len(), 1, "structurally identical jigs merged");
         assert_eq!(plan.jigs[0].analyses.len(), 3);

@@ -26,10 +26,26 @@
 //! that error as a singular matrix; nothing re-orders or retries.
 
 use crate::lu::SingularMatrixError;
-use std::collections::HashMap;
 
 /// Number of bits per bitset word in the symbolic pass.
 const WORD: usize = 64;
+
+/// Marks a permuted coordinate without a factor slot in the symbolic
+/// pass's dense slot table.
+const NO_SLOT: u32 = u32::MAX;
+
+/// Calls `f` with the index of every bit set in `row & mask`, in
+/// ascending order.
+#[inline]
+fn for_each_bit(row: &[u64], mask: &[u64], mut f: impl FnMut(usize)) {
+    for (wi, (&w, &m)) in row.iter().zip(mask).enumerate() {
+        let mut live = w & m;
+        while live != 0 {
+            f(wi * WORD + live.trailing_zeros() as usize);
+            live &= live - 1;
+        }
+    }
+}
 
 /// A sparse LU factorization `P·A·Q = L·U` over a fixed structural
 /// pattern.
@@ -123,38 +139,26 @@ impl SparseLu {
         // Per-step original-coordinate L rows / U columns.
         let mut step_l: Vec<Vec<u32>> = Vec::with_capacity(n);
         let mut step_u: Vec<Vec<u32>> = Vec::with_capacity(n);
-
-        let bits_of = |row: &[u64], mask: &[u64]| -> Vec<u32> {
-            let mut out = Vec::new();
-            for (wi, (&w, &m)) in row.iter().zip(mask).enumerate() {
-                let mut live = w & m;
-                while live != 0 {
-                    let b = live.trailing_zeros();
-                    out.push((wi * WORD) as u32 + b);
-                    live &= live - 1;
-                }
-            }
-            out
-        };
+        // Workspace reused across steps.
+        let mut row_cnt = vec![0u32; n];
+        let mut col_cnt = vec![0u32; n];
+        let mut pivot_row = vec![0u64; words];
 
         for _step in 0..n {
             // Alive-submatrix row and column counts.
-            let mut row_cnt = vec![0u32; n];
-            let mut col_cnt = vec![0u32; n];
+            row_cnt.fill(0);
+            col_cnt.fill(0);
             for r in 0..n {
                 if !row_alive[r] {
                     continue;
                 }
                 let row = &pat[r * words..(r + 1) * words];
-                for (wi, (&w, &m)) in row.iter().zip(&col_mask).enumerate() {
-                    let mut live = w & m;
-                    row_cnt[r] += live.count_ones();
-                    while live != 0 {
-                        let c = wi * WORD + live.trailing_zeros() as usize;
-                        col_cnt[c] += 1;
-                        live &= live - 1;
-                    }
-                }
+                row_cnt[r] = row
+                    .iter()
+                    .zip(&col_mask)
+                    .map(|(&w, &m)| (w & m).count_ones())
+                    .sum();
+                for_each_bit(row, &col_mask, |c| col_cnt[c] += 1);
             }
             // Markowitz pivot search with deterministic tie-break.
             let mut best: Option<(u64, bool, usize, usize)> = None;
@@ -162,34 +166,41 @@ impl SparseLu {
                 if !row_alive[r] || row_cnt[r] == 0 {
                     continue;
                 }
-                let row = &pat[r * words..(r + 1) * words];
-                for c in bits_of(row, &col_mask) {
-                    let c = c as usize;
-                    let cost = u64::from(row_cnt[r] - 1) * u64::from(col_cnt[c] - 1);
+                let r_cost = u64::from(row_cnt[r] - 1);
+                for_each_bit(&pat[r * words..(r + 1) * words], &col_mask, |c| {
+                    let cost = r_cost * u64::from(col_cnt[c] - 1);
                     // Sort key: (cost, off-diagonal, r, c) — lower wins.
                     let key = (cost, r != c, r, c);
                     if best.is_none_or(|b| key < b) {
                         best = Some(key);
                     }
-                }
+                });
             }
             let Some((_, _, pr, pc)) = best else {
                 // No candidate pivot: structurally singular. Report the
                 // first still-alive column, mirroring the dense error.
-                let column = bits_of(&vec![u64::MAX; words], &col_mask)
-                    .first()
-                    .map_or(0, |&c| c as usize);
+                let column = col_mask
+                    .iter()
+                    .position(|&m| m != 0)
+                    .map_or(0, |wi| wi * WORD + col_mask[wi].trailing_zeros() as usize);
                 return Err(SingularMatrixError { column });
             };
 
             // Record this step's L rows and U columns, then apply the
             // structural rank-1 fill update.
-            let pivot_row: Vec<u64> = {
-                let row = &pat[pr * words..(pr + 1) * words];
-                row.iter().zip(&col_mask).map(|(&w, &m)| w & m).collect()
-            };
-            let mut u_here = bits_of(&pivot_row, &col_mask);
-            u_here.retain(|&c| c as usize != pc);
+            for ((p, &w), &m) in pivot_row
+                .iter_mut()
+                .zip(&pat[pr * words..(pr + 1) * words])
+                .zip(&col_mask)
+            {
+                *p = w & m;
+            }
+            let mut u_here = Vec::new();
+            for_each_bit(&pivot_row, &col_mask, |c| {
+                if c != pc {
+                    u_here.push(c as u32);
+                }
+            });
             let mut l_here = Vec::new();
             for r in 0..n {
                 if r == pr || !row_alive[r] {
@@ -212,13 +223,21 @@ impl SparseLu {
 
         // Permuted coordinates and factor slot assignment: step order,
         // pivot first, then L by permuted row, then U by permuted col.
+        // The slot table is dense over permuted coordinates, like the
+        // pattern bitset.
         let mut inv_row = vec![0u32; n];
         let mut inv_col = vec![0u32; n];
         for k in 0..n {
             inv_row[row_of_step[k] as usize] = k as u32;
             inv_col[col_of_step[k] as usize] = k as u32;
         }
-        let mut slot_of: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut slot_of = vec![NO_SLOT; n * n];
+        let mut fill = 0u32;
+        let mut assign = |i: u32, j: u32| {
+            slot_of[i as usize * n + j as usize] = fill;
+            fill += 1;
+            fill - 1
+        };
         let mut pivot_slot = Vec::with_capacity(n);
         let mut l_rows = Vec::new();
         let mut l_slots = Vec::new();
@@ -228,30 +247,29 @@ impl SparseLu {
         let mut u_start = Vec::with_capacity(n + 1);
         for k in 0..n {
             let kk = k as u32;
-            let next = slot_of.len() as u32;
-            pivot_slot.push(next);
-            slot_of.insert((kk, kk), next);
+            pivot_slot.push(assign(kk, kk));
             l_start.push(l_rows.len() as u32);
             let mut lp: Vec<u32> = step_l[k].iter().map(|&r| inv_row[r as usize]).collect();
             lp.sort_unstable();
             for i in lp {
-                let next = slot_of.len() as u32;
-                slot_of.insert((i, kk), next);
+                l_slots.push(assign(i, kk));
                 l_rows.push(i);
-                l_slots.push(next);
             }
             u_start.push(u_cols.len() as u32);
             let mut up: Vec<u32> = step_u[k].iter().map(|&c| inv_col[c as usize]).collect();
             up.sort_unstable();
             for j in up {
-                let next = slot_of.len() as u32;
-                slot_of.insert((kk, j), next);
+                u_slots.push(assign(kk, j));
                 u_cols.push(j);
-                u_slots.push(next);
             }
         }
         l_start.push(l_rows.len() as u32);
         u_start.push(u_cols.len() as u32);
+        let slot = |i: u32, j: u32| {
+            let s = slot_of[i as usize * n + j as usize];
+            assert_ne!(s, NO_SLOT, "no factor slot at ({i}, {j})");
+            s
+        };
 
         // Compiled elimination: every (L row) × (U col) pair of a step
         // targets a slot of the trailing submatrix, which the fill pass
@@ -266,8 +284,7 @@ impl SparseLu {
             let ur = u_start[k] as usize..u_start[k + 1] as usize;
             for li in lr {
                 for ui in ur.clone() {
-                    let t = slot_of[&(l_rows[li], u_cols[ui])];
-                    mul_target.push(t);
+                    mul_target.push(slot(l_rows[li], u_cols[ui]));
                     mul_l.push(l_slots[li]);
                     mul_u.push(u_slots[ui]);
                 }
@@ -277,10 +294,10 @@ impl SparseLu {
 
         let scatter = entries
             .iter()
-            .map(|&(r, c)| slot_of[&(inv_row[r], inv_col[c])])
+            .map(|&(r, c)| slot(inv_row[r], inv_col[c]))
             .collect();
 
-        let fill = slot_of.len();
+        let fill = fill as usize;
         oblx_telemetry::add(oblx_telemetry::Counter::SparseNnz, nnz_input as u64);
         oblx_telemetry::add(oblx_telemetry::Counter::SparseFill, fill as u64);
 
@@ -486,6 +503,219 @@ mod tests {
     use crate::lu::Lu;
     use crate::matrix::Mat;
     use proptest::prelude::*;
+    use std::collections::HashMap;
+
+    /// [`SparseLu::symbolic`] as it was before its workspace reuse and
+    /// dense slot table: a fresh bit vector per live row per step and a
+    /// hashed slot map. The reference its rewrite must match exactly.
+    fn symbolic_reference(
+        n: usize,
+        entries: &[(usize, usize)],
+    ) -> Result<SparseLu, SingularMatrixError> {
+        let _span = oblx_telemetry::span(oblx_telemetry::SpanKind::SparseSymbolic);
+        let words = n.div_ceil(WORD).max(1);
+        // Row-major bitset of the (growing) pattern.
+        let mut pat = vec![0u64; n * words];
+        for &(r, c) in entries {
+            assert!(r < n && c < n, "entry ({r}, {c}) outside {n}x{n} matrix");
+            pat[r * words + c / WORD] |= 1 << (c % WORD);
+        }
+        let nnz_input = pat.iter().map(|w| w.count_ones() as usize).sum();
+
+        let mut row_alive = vec![true; n];
+        let mut col_mask = vec![0u64; words];
+        for c in 0..n {
+            col_mask[c / WORD] |= 1 << (c % WORD);
+        }
+
+        let mut row_of_step = Vec::with_capacity(n);
+        let mut col_of_step = Vec::with_capacity(n);
+        // Per-step original-coordinate L rows / U columns.
+        let mut step_l: Vec<Vec<u32>> = Vec::with_capacity(n);
+        let mut step_u: Vec<Vec<u32>> = Vec::with_capacity(n);
+
+        let bits_of = |row: &[u64], mask: &[u64]| -> Vec<u32> {
+            let mut out = Vec::new();
+            for (wi, (&w, &m)) in row.iter().zip(mask).enumerate() {
+                let mut live = w & m;
+                while live != 0 {
+                    let b = live.trailing_zeros();
+                    out.push((wi * WORD) as u32 + b);
+                    live &= live - 1;
+                }
+            }
+            out
+        };
+
+        for _step in 0..n {
+            // Alive-submatrix row and column counts.
+            let mut row_cnt = vec![0u32; n];
+            let mut col_cnt = vec![0u32; n];
+            for r in 0..n {
+                if !row_alive[r] {
+                    continue;
+                }
+                let row = &pat[r * words..(r + 1) * words];
+                for (wi, (&w, &m)) in row.iter().zip(&col_mask).enumerate() {
+                    let mut live = w & m;
+                    row_cnt[r] += live.count_ones();
+                    while live != 0 {
+                        let c = wi * WORD + live.trailing_zeros() as usize;
+                        col_cnt[c] += 1;
+                        live &= live - 1;
+                    }
+                }
+            }
+            // Markowitz pivot search with deterministic tie-break.
+            let mut best: Option<(u64, bool, usize, usize)> = None;
+            for r in 0..n {
+                if !row_alive[r] || row_cnt[r] == 0 {
+                    continue;
+                }
+                let row = &pat[r * words..(r + 1) * words];
+                for c in bits_of(row, &col_mask) {
+                    let c = c as usize;
+                    let cost = u64::from(row_cnt[r] - 1) * u64::from(col_cnt[c] - 1);
+                    // Sort key: (cost, off-diagonal, r, c) — lower wins.
+                    let key = (cost, r != c, r, c);
+                    if best.is_none_or(|b| key < b) {
+                        best = Some(key);
+                    }
+                }
+            }
+            let Some((_, _, pr, pc)) = best else {
+                // No candidate pivot: structurally singular. Report the
+                // first still-alive column, mirroring the dense error.
+                let column = bits_of(&vec![u64::MAX; words], &col_mask)
+                    .first()
+                    .map_or(0, |&c| c as usize);
+                return Err(SingularMatrixError { column });
+            };
+
+            // Record this step's L rows and U columns, then apply the
+            // structural rank-1 fill update.
+            let pivot_row: Vec<u64> = {
+                let row = &pat[pr * words..(pr + 1) * words];
+                row.iter().zip(&col_mask).map(|(&w, &m)| w & m).collect()
+            };
+            let mut u_here = bits_of(&pivot_row, &col_mask);
+            u_here.retain(|&c| c as usize != pc);
+            let mut l_here = Vec::new();
+            for r in 0..n {
+                if r == pr || !row_alive[r] {
+                    continue;
+                }
+                if pat[r * words + pc / WORD] >> (pc % WORD) & 1 == 1 {
+                    l_here.push(r as u32);
+                    for (w, &p) in pat[r * words..(r + 1) * words].iter_mut().zip(&pivot_row) {
+                        *w |= p;
+                    }
+                }
+            }
+            row_of_step.push(pr as u32);
+            col_of_step.push(pc as u32);
+            step_l.push(l_here);
+            step_u.push(u_here);
+            row_alive[pr] = false;
+            col_mask[pc / WORD] &= !(1 << (pc % WORD));
+        }
+
+        // Permuted coordinates and factor slot assignment: step order,
+        // pivot first, then L by permuted row, then U by permuted col.
+        let mut inv_row = vec![0u32; n];
+        let mut inv_col = vec![0u32; n];
+        for k in 0..n {
+            inv_row[row_of_step[k] as usize] = k as u32;
+            inv_col[col_of_step[k] as usize] = k as u32;
+        }
+        let mut slot_of: HashMap<(u32, u32), u32> = HashMap::new();
+        let mut pivot_slot = Vec::with_capacity(n);
+        let mut l_rows = Vec::new();
+        let mut l_slots = Vec::new();
+        let mut l_start = Vec::with_capacity(n + 1);
+        let mut u_cols = Vec::new();
+        let mut u_slots = Vec::new();
+        let mut u_start = Vec::with_capacity(n + 1);
+        for k in 0..n {
+            let kk = k as u32;
+            let next = slot_of.len() as u32;
+            pivot_slot.push(next);
+            slot_of.insert((kk, kk), next);
+            l_start.push(l_rows.len() as u32);
+            let mut lp: Vec<u32> = step_l[k].iter().map(|&r| inv_row[r as usize]).collect();
+            lp.sort_unstable();
+            for i in lp {
+                let next = slot_of.len() as u32;
+                slot_of.insert((i, kk), next);
+                l_rows.push(i);
+                l_slots.push(next);
+            }
+            u_start.push(u_cols.len() as u32);
+            let mut up: Vec<u32> = step_u[k].iter().map(|&c| inv_col[c as usize]).collect();
+            up.sort_unstable();
+            for j in up {
+                let next = slot_of.len() as u32;
+                slot_of.insert((kk, j), next);
+                u_cols.push(j);
+                u_slots.push(next);
+            }
+        }
+        l_start.push(l_rows.len() as u32);
+        u_start.push(u_cols.len() as u32);
+
+        // Compiled elimination: every (L row) × (U col) pair of a step
+        // targets a slot of the trailing submatrix, which the fill pass
+        // above guaranteed exists.
+        let mut mul_target = Vec::new();
+        let mut mul_l = Vec::new();
+        let mut mul_u = Vec::new();
+        let mut mul_start = Vec::with_capacity(n + 1);
+        for k in 0..n {
+            mul_start.push(mul_target.len() as u32);
+            let lr = l_start[k] as usize..l_start[k + 1] as usize;
+            let ur = u_start[k] as usize..u_start[k + 1] as usize;
+            for li in lr {
+                for ui in ur.clone() {
+                    let t = slot_of[&(l_rows[li], u_cols[ui])];
+                    mul_target.push(t);
+                    mul_l.push(l_slots[li]);
+                    mul_u.push(u_slots[ui]);
+                }
+            }
+        }
+        mul_start.push(mul_target.len() as u32);
+
+        let scatter = entries
+            .iter()
+            .map(|&(r, c)| slot_of[&(inv_row[r], inv_col[c])])
+            .collect();
+
+        let fill = slot_of.len();
+        oblx_telemetry::add(oblx_telemetry::Counter::SparseNnz, nnz_input as u64);
+        oblx_telemetry::add(oblx_telemetry::Counter::SparseFill, fill as u64);
+
+        Ok(SparseLu {
+            n,
+            row_of_step,
+            col_of_step,
+            scatter,
+            pivot_slot,
+            l_rows,
+            l_slots,
+            l_start,
+            u_cols,
+            u_slots,
+            u_start,
+            mul_target,
+            mul_l,
+            mul_u,
+            mul_start,
+            fvals: vec![0.0; fill],
+            pivot_ratio: f64::INFINITY,
+            factored: false,
+            nnz_input,
+        })
+    }
 
     /// Deterministic LCG in `[-1, 1)`, matching the dense LU proptest.
     fn lcg(seed: u64) -> impl FnMut() -> f64 {
@@ -600,6 +830,89 @@ mod tests {
         let mut lu = SparseLu::symbolic(2, &entries).unwrap();
         lu.refactor(&[1e6, 1e-6]).unwrap();
         assert!((lu.pivot_ratio() - 1e12).abs() / 1e12 < 1e-9);
+    }
+
+    /// A random structural pattern in a shuffled caller order with
+    /// duplicates: `n` up to 90, density from sparse to dense, with or
+    /// without a full diagonal, sometimes with an empty column or row
+    /// (structurally singular).
+    fn random_pattern(seed: u64) -> (usize, Vec<(usize, usize)>) {
+        let mut next = lcg(seed);
+        let mut unit = move || 0.5 * (next() + 1.0);
+        let n = 1 + (unit() * 90.0) as usize;
+        let density = 0.01 + 0.25 * unit() * unit();
+        let diagonal = unit() < 0.5;
+        let mut entries = Vec::new();
+        for r in 0..n {
+            for c in 0..n {
+                if (diagonal && r == c) || unit() < density {
+                    entries.push((r, c));
+                }
+            }
+        }
+        match (unit() * 6.0) as usize {
+            0 => {
+                let c = (unit() * n as f64) as usize % n;
+                entries.retain(|&(_, ec)| ec != c);
+            }
+            1 => {
+                let r = (unit() * n as f64) as usize % n;
+                entries.retain(|&(er, _)| er != r);
+            }
+            _ => {}
+        }
+        for _ in 0..entries.len() / 8 {
+            let k = (unit() * entries.len() as f64) as usize % entries.len();
+            entries.push(entries[k]);
+        }
+        for i in (1..entries.len()).rev() {
+            let j = (unit() * (i + 1) as f64) as usize % (i + 1);
+            entries.swap(i, j);
+        }
+        (n, entries)
+    }
+
+    /// Every symbolic output of two analyses: pivot order, scatter map,
+    /// factor layout and the compiled multiply list.
+    fn same_symbolic(a: &SparseLu, b: &SparseLu) -> bool {
+        a.n == b.n
+            && a.row_of_step == b.row_of_step
+            && a.col_of_step == b.col_of_step
+            && a.scatter == b.scatter
+            && a.pivot_slot == b.pivot_slot
+            && a.l_rows == b.l_rows
+            && a.l_slots == b.l_slots
+            && a.l_start == b.l_start
+            && a.u_cols == b.u_cols
+            && a.u_slots == b.u_slots
+            && a.u_start == b.u_start
+            && a.mul_target == b.mul_target
+            && a.mul_l == b.mul_l
+            && a.mul_u == b.mul_u
+            && a.mul_start == b.mul_start
+            && a.fvals.len() == b.fvals.len()
+            && a.nnz_input == b.nnz_input
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The symbolic analysis matches its reference exactly on random
+        /// patterns, singular ones included (same error column).
+        #[test]
+        fn prop_symbolic_matches_reference(seed in 0u64..100_000) {
+            let (n, entries) = random_pattern(seed);
+            match (SparseLu::symbolic(n, &entries), symbolic_reference(n, &entries)) {
+                (Ok(a), Ok(b)) => prop_assert!(same_symbolic(&a, &b), "n = {n}: layouts differ"),
+                (Err(a), Err(b)) => prop_assert_eq!(a.column, b.column),
+                (a, b) => prop_assert!(
+                    false,
+                    "n = {n}: rewrite {:?} vs reference {:?}",
+                    a.map(|_| ()),
+                    b.map(|_| ())
+                ),
+            }
+        }
     }
 
     proptest! {

@@ -149,27 +149,78 @@ impl OpPoint {
 /// One Newton linearization of the full nonlinear system at voltages
 /// `x`: returns the Jacobian and residual, i.e. `J·Δ = −F`.
 ///
-/// Exposed publicly because OBLX's relaxed-dc Newton moves reuse it.
+/// The composition of [`linear_stamp_into`] and [`linearize_into`];
+/// callers that linearize one circuit many times at fixed element values
+/// (OBLX's relaxed-dc Newton moves) keep the linear stamp and call
+/// [`linearize_into`] directly, with the same arithmetic.
 pub fn linearize_at(
     circuit: &SizedCircuit,
     x: &[f64],
     src_scale: f64,
     gmin: f64,
 ) -> (Mat<f64>, Vec<f64>) {
-    let n = circuit.nodes.len();
     let dim = circuit.dim();
+    let mut g = Mat::zeros(dim, dim);
+    let mut rhs = Vec::with_capacity(dim);
+    linear_stamp_into(circuit, src_scale, &mut g, &mut rhs);
     let mut jac = Mat::zeros(dim, dim);
-    let mut f = vec![0.0; dim];
+    let mut f = Vec::with_capacity(dim);
+    linearize_into(circuit, &g, &rhs, x, gmin, &mut jac, &mut f);
+    (jac, f)
+}
+
+/// The dc stamp `(g, rhs)` of the circuit's linear elements, with every
+/// independent source scaled by `src_scale`, written into caller-owned
+/// buffers: `g` must be `dim × dim` and is overwritten; `rhs` is resized
+/// to `dim`. A function of element values only, not of node voltages.
+///
+/// # Panics
+///
+/// Panics if `g` does not match the circuit dimension.
+pub fn linear_stamp_into(
+    circuit: &SizedCircuit,
+    src_scale: f64,
+    g: &mut Mat<f64>,
+    rhs: &mut Vec<f64>,
+) {
+    let dim = circuit.dim();
+    assert_eq!(g.rows(), dim, "conductance buffer dimension mismatch");
+    g.clear();
+    rhs.clear();
+    rhs.resize(dim, 0.0);
+    let n = circuit.nodes.len();
+    for el in &circuit.linear {
+        el.stamp_dc(g, rhs, n, src_scale);
+    }
+}
+
+/// [`linearize_at`] over a precomputed linear stamp `(g, rhs)` (from
+/// [`linear_stamp_into`]) into caller-owned buffers: `jac` must be
+/// `dim × dim` and is overwritten; `f` is resized to `dim`. Evaluates
+/// every device at `x`.
+///
+/// # Panics
+///
+/// Panics if `x`, `g` or `jac` does not match the circuit dimension.
+pub fn linearize_into(
+    circuit: &SizedCircuit,
+    g: &Mat<f64>,
+    rhs: &[f64],
+    x: &[f64],
+    gmin: f64,
+    jac: &mut Mat<f64>,
+    f: &mut Vec<f64>,
+) {
+    let dim = circuit.dim();
+    assert_eq!(jac.rows(), dim, "jacobian buffer dimension mismatch");
+    jac.clear();
+    g.mul_vec_into(x, f);
 
     // Linear elements: G·x − rhs contributes to F; G contributes to J.
-    let mut g = Mat::zeros(dim, dim);
-    let mut rhs = vec![0.0; dim];
-    for el in &circuit.linear {
-        el.stamp_dc(&mut g, &mut rhs, n, src_scale);
-    }
-    let gx = g.mul_vec(x);
+    // `0.0 + …` keeps the signed-zero behaviour of accumulating into a
+    // zeroed residual.
     for r in 0..dim {
-        f[r] += gx[r] - rhs[r];
+        f[r] = 0.0 + (f[r] - rhs[r]);
         for c in 0..dim {
             let v = g.get(r, c);
             if v != 0.0 {
@@ -186,17 +237,17 @@ pub fn linearize_at(
             .model
             .op(m.w, m.l, volt(m.d), volt(m.g), volt(m.s), volt(m.b));
         // Channel current out of drain, into source.
-        stamp_vec(&mut f, m.d, op.id);
-        stamp_vec(&mut f, m.s, -op.id);
+        stamp_vec(f, m.d, op.id);
+        stamp_vec(f, m.s, -op.id);
         let gsum = op.gm + op.gds + op.gmbs;
-        stamp(&mut jac, m.d, m.d, op.gds);
-        stamp(&mut jac, m.d, m.g, op.gm);
-        stamp(&mut jac, m.d, m.b, op.gmbs);
-        stamp(&mut jac, m.d, m.s, -gsum);
-        stamp(&mut jac, m.s, m.d, -op.gds);
-        stamp(&mut jac, m.s, m.g, -op.gm);
-        stamp(&mut jac, m.s, m.b, -op.gmbs);
-        stamp(&mut jac, m.s, m.s, gsum);
+        stamp(jac, m.d, m.d, op.gds);
+        stamp(jac, m.d, m.g, op.gm);
+        stamp(jac, m.d, m.b, op.gmbs);
+        stamp(jac, m.d, m.s, -gsum);
+        stamp(jac, m.s, m.d, -op.gds);
+        stamp(jac, m.s, m.g, -op.gm);
+        stamp(jac, m.s, m.b, -op.gmbs);
+        stamp(jac, m.s, m.s, gsum);
         // gmin ties every device terminal weakly to ground.
         for i in [m.d, m.g, m.s, m.b].into_iter().flatten() {
             jac.add_at(i, i, gmin);
@@ -207,19 +258,19 @@ pub fn linearize_at(
     // BJTs.
     for q in &circuit.bjts {
         let op = q.model.op(q.area, volt(q.c), volt(q.b), volt(q.e));
-        stamp_vec(&mut f, q.c, op.ic);
-        stamp_vec(&mut f, q.b, op.ib);
-        stamp_vec(&mut f, q.e, -(op.ic + op.ib));
+        stamp_vec(f, q.c, op.ic);
+        stamp_vec(f, q.b, op.ib);
+        stamp_vec(f, q.e, -(op.ic + op.ib));
         // ic(vbe, vce), ib(vbe, vce) with vbe = vb − ve, vce = vc − ve.
-        stamp(&mut jac, q.c, q.b, op.gm_be);
-        stamp(&mut jac, q.c, q.c, op.go);
-        stamp(&mut jac, q.c, q.e, -(op.gm_be + op.go));
-        stamp(&mut jac, q.b, q.b, op.gpi);
-        stamp(&mut jac, q.b, q.c, op.gmu);
-        stamp(&mut jac, q.b, q.e, -(op.gpi + op.gmu));
-        stamp(&mut jac, q.e, q.b, -(op.gm_be + op.gpi));
-        stamp(&mut jac, q.e, q.c, -(op.go + op.gmu));
-        stamp(&mut jac, q.e, q.e, op.gm_be + op.go + op.gpi + op.gmu);
+        stamp(jac, q.c, q.b, op.gm_be);
+        stamp(jac, q.c, q.c, op.go);
+        stamp(jac, q.c, q.e, -(op.gm_be + op.go));
+        stamp(jac, q.b, q.b, op.gpi);
+        stamp(jac, q.b, q.c, op.gmu);
+        stamp(jac, q.b, q.e, -(op.gpi + op.gmu));
+        stamp(jac, q.e, q.b, -(op.gm_be + op.gpi));
+        stamp(jac, q.e, q.c, -(op.go + op.gmu));
+        stamp(jac, q.e, q.e, op.gm_be + op.go + op.gpi + op.gmu);
         for i in [q.c, q.b, q.e].into_iter().flatten() {
             jac.add_at(i, i, gmin);
             f[i] += gmin * x[i];
@@ -229,19 +280,17 @@ pub fn linearize_at(
     // Diodes.
     for d in &circuit.diodes {
         let op = d.model.op(d.area, volt(d.a) - volt(d.k));
-        stamp_vec(&mut f, d.a, op.id);
-        stamp_vec(&mut f, d.k, -op.id);
-        stamp(&mut jac, d.a, d.a, op.gd);
-        stamp(&mut jac, d.k, d.k, op.gd);
-        stamp(&mut jac, d.a, d.k, -op.gd);
-        stamp(&mut jac, d.k, d.a, -op.gd);
+        stamp_vec(f, d.a, op.id);
+        stamp_vec(f, d.k, -op.id);
+        stamp(jac, d.a, d.a, op.gd);
+        stamp(jac, d.k, d.k, op.gd);
+        stamp(jac, d.a, d.k, -op.gd);
+        stamp(jac, d.k, d.a, -op.gd);
         for i in [d.a, d.k].into_iter().flatten() {
             jac.add_at(i, i, gmin);
             f[i] += gmin * x[i];
         }
     }
-
-    (jac, f)
 }
 
 fn newton_loop(

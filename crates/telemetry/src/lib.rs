@@ -192,6 +192,15 @@ pub enum SpanKind {
     SparseRefactor,
     /// One HTTP request handled by the API edge (parse → response).
     HttpRequest,
+    /// One relaxed-dc Newton step through the bias plan (patch,
+    /// linearize, dense LU of the free-node block).
+    NewtonStep,
+    /// The base moment fit of one AWE analysis (nested in
+    /// [`SpanKind::AweAnalyze`]).
+    AweBaseFit,
+    /// One shifted re-expansion of an AWE analysis: refactor, adjoint
+    /// chain and fit (nested in [`SpanKind::AweAnalyze`]).
+    AweShift,
     /// Number of span kinds (array size), not a real span.
     Count,
 }
@@ -202,6 +211,9 @@ const SPAN_NAMES: [&str; SpanKind::Count as usize] = [
     "sparse_symbolic",
     "sparse_refactor",
     "http_request",
+    "newton_step",
+    "awe_base_fit",
+    "awe_shift",
 ];
 
 struct Hist {
@@ -265,6 +277,9 @@ impl Hist {
 }
 
 static SPAN_HISTS: [Hist; SpanKind::Count as usize] = [
+    Hist::new(),
+    Hist::new(),
+    Hist::new(),
     Hist::new(),
     Hist::new(),
     Hist::new(),
