@@ -11,9 +11,27 @@ use oblx_linalg::Complex;
 
 /// Gain magnitude `|H(j·2π·f)|` at frequency `f` (Hz).
 pub fn gain_at(model: &ReducedModel, f: f64) -> f64 {
-    model
-        .eval(Complex::new(0.0, 2.0 * std::f64::consts::PI * f))
-        .norm()
+    response_at(model, f).norm()
+}
+
+/// `H(j·2π·f)` at frequency `f` (Hz).
+fn response_at(model: &ReducedModel, f: f64) -> Complex {
+    model.eval(Complex::new(0.0, 2.0 * std::f64::consts::PI * f))
+}
+
+/// `gain_at(model, f) <= 1.0`, decided from `|H|²` and falling back to
+/// `hypot` only near `|H| = 1` (see [`Complex::norm_below`]).
+fn gain_at_most_unity(model: &ReducedModel, f: f64) -> bool {
+    let h = response_at(model, f);
+    h.norm_below(1.0).unwrap_or_else(|| h.norm() <= 1.0)
+}
+
+/// `gain_at(model, f) > 1.0`, decided as [`gain_at_most_unity`]. Not its
+/// negation: a NaN gain is neither at most nor above unity.
+fn gain_above_unity(model: &ReducedModel, f: f64) -> bool {
+    let h = response_at(model, f);
+    h.norm_below(1.0)
+        .map_or_else(|| h.norm() > 1.0, |below| !below)
 }
 
 /// Unity-gain frequency (Hz): lowest `f` where `|H|` crosses 1.
@@ -48,7 +66,7 @@ fn unity_gain_frequency_uncached(model: &ReducedModel) -> f64 {
     let mut found = false;
     while hi < F_MAX {
         hi *= 10.0;
-        if gain_at(model, hi) <= 1.0 {
+        if gain_at_most_unity(model, hi) {
             found = true;
             break;
         }
@@ -59,7 +77,7 @@ fn unity_gain_frequency_uncached(model: &ReducedModel) -> f64 {
     }
     for _ in 0..60 {
         let mid = (lo * hi).sqrt();
-        if gain_at(model, mid) > 1.0 {
+        if gain_above_unity(model, mid) {
             lo = mid;
         } else {
             hi = mid;
@@ -158,6 +176,82 @@ mod tests {
     fn unstable_model_zero_margin() {
         let m = model(&[(1000.0, 0.0)], &[(1e6, 0.0)], 1000.0);
         assert_eq!(phase_margin(&m), 0.0);
+    }
+
+    /// The unity-gain scan as it was written before its `|H|` tests
+    /// went through [`Complex::norm_below`]: every test through
+    /// `gain_at`, i.e. `hypot`.
+    fn reference_ugf(model: &ReducedModel) -> f64 {
+        const F_MAX: f64 = 1.0e12;
+        if model.poles().is_empty() || model.dc_gain() <= 1.0 {
+            return 0.0;
+        }
+        let mut lo = 1.0e-1;
+        let mut hi = lo;
+        let mut found = false;
+        while hi < F_MAX {
+            hi *= 10.0;
+            if gain_at(model, hi) <= 1.0 {
+                found = true;
+                break;
+            }
+            lo = hi;
+        }
+        if !found {
+            return F_MAX;
+        }
+        for _ in 0..60 {
+            let mid = (lo * hi).sqrt();
+            if gain_at(model, mid) > 1.0 {
+                lo = mid;
+            } else {
+                hi = mid;
+            }
+        }
+        (lo * hi).sqrt()
+    }
+
+    /// The scan finds the same crossing as the reference, bit for bit,
+    /// on random stable and unstable pole/residue models of order 1–6
+    /// with dc gains from 0.1 to 1e6: every bisection step lands on the
+    /// same side of `|H| = 1`.
+    #[test]
+    fn ugf_scan_matches_reference_scan() {
+        let mut state = 0x2545_F491_4F6C_DD1Du64;
+        let mut next = || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            (state >> 11) as f64 / (1u64 << 53) as f64
+        };
+        let mut crossings = 0;
+        for _ in 0..3000 {
+            let q = 1 + (next() * 6.0) as usize;
+            let mut poles = Vec::new();
+            let mut residues = Vec::new();
+            while poles.len() < q {
+                let w = 10f64.powf(2.0 + 8.0 * next());
+                let sign = if next() < 0.05 { 1.0 } else { -1.0 };
+                let k = Complex::new(w * (next() - 0.3) * 10f64.powf(3.0 * next()), 0.0);
+                if poles.len() + 2 <= q && next() < 0.4 {
+                    let p = Complex::new(sign * w * next(), w);
+                    let k = Complex::new(k.re, w * (next() - 0.5));
+                    poles.extend([p, p.conj()]);
+                    residues.extend([k, k.conj()]);
+                } else {
+                    poles.push(Complex::from_real(sign * w));
+                    residues.push(k);
+                }
+            }
+            let mu0 = 10f64.powf(7.0 * next() - 1.0) * if next() < 0.5 { -1.0 } else { 1.0 };
+            let m = ReducedModel::new(poles, residues, mu0, vec![], q);
+            let f = unity_gain_frequency(&m);
+            assert_eq!(f.to_bits(), reference_ugf(&m).to_bits(), "{m}");
+            if f > 0.0 && f < 1.0e12 {
+                crossings += 1;
+            }
+        }
+        assert!(crossings > 1000, "{crossings} crossings found");
     }
 
     #[test]
