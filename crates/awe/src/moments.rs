@@ -3,6 +3,7 @@
 use crate::model::{AweError, ReducedModel};
 use oblx_linalg::{solve_hankel, solve_vandermonde, Complex, Poly, SparseLu};
 use oblx_mna::{LinearSystem, OutputSelector, SparseStampMap};
+use oblx_telemetry::Counter;
 
 /// Structural compressed rows of `Cᵀ` over a [`SparseStampMap`] union
 /// pattern. MNA `C` matrices are overwhelmingly zero — only capacitor
@@ -183,7 +184,9 @@ impl AweEngine {
             &mut scratch,
         );
         let mu: Vec<f64> = avs.iter().map(|a| dot(a, b)).collect();
-        let local = fit_model(&mu, max_q)?;
+        let (local, tried) = fit_counting_orders(&mu, max_q);
+        oblx_telemetry::add(Counter::AweShiftOrders, tried);
+        let local = local?;
         let poles: Vec<Complex> = local
             .poles()
             .iter()
@@ -412,10 +415,11 @@ where
     F: FnOnce(f64, f64) -> Result<ReducedModel, AweError>,
 {
     let _span = oblx_telemetry::span(oblx_telemetry::SpanKind::AweAnalyze);
-    let base = {
+    let (base, tried) = {
         let _fit = oblx_telemetry::span(oblx_telemetry::SpanKind::AweBaseFit);
-        fit_model(&mu, max_q)
+        fit_counting_orders(&mu, max_q)
     };
+    oblx_telemetry::add(Counter::AweBaseOrders, tried);
     let base = guard_model(base?)?;
 
     // When the unity-gain crossing sits far above the dominant pole,
@@ -505,6 +509,15 @@ fn guard_model(model: ReducedModel) -> Result<ReducedModel, AweError> {
 /// no unity crossing), so the constant fallback can never silently
 /// report a speed spec as met.
 pub fn fit_model(mu: &[f64], max_q: usize) -> Result<ReducedModel, AweError> {
+    let (model, tried) = fit_counting_orders(mu, max_q);
+    oblx_telemetry::add(Counter::AweBaseOrders, tried);
+    model
+}
+
+/// [`fit_model`], also returning how many orders it tried (Hankel
+/// solves attempted), for the caller to record against the base fit or
+/// the shifted re-expansion.
+fn fit_counting_orders(mu: &[f64], max_q: usize) -> (Result<ReducedModel, AweError>, u64) {
     oblx_telemetry::incr(oblx_telemetry::Counter::AweFit);
     let mu0 = mu.first().copied().unwrap_or(0.0);
 
@@ -512,14 +525,14 @@ pub fn fit_model(mu: &[f64], max_q: usize) -> Result<ReducedModel, AweError> {
     // garbage; nothing fitted from them can be trusted.
     if !mu.iter().all(|m| m.is_finite()) {
         oblx_telemetry::incr(oblx_telemetry::Counter::AweNoModel);
-        return Err(AweError::NoModel);
+        return (Err(AweError::NoModel), 0);
     }
 
     // A transfer function that is zero to machine precision: model as a
     // constant zero.
     let mu_scale = mu.iter().fold(0.0f64, |a, &b| a.max(b.abs()));
     if mu_scale == 0.0 {
-        return Ok(ReducedModel::constant(0.0));
+        return (Ok(ReducedModel::constant(0.0)), 0);
     }
 
     // Frequency scaling: ω₀ from the first adjacent nonzero moment pair
@@ -549,10 +562,12 @@ pub fn fit_model(mu: &[f64], max_q: usize) -> Result<ReducedModel, AweError> {
     // pole count exceeds max_q), keep the largest order that fitted its
     // own 2q moments — classic AWE behaviour.
     let mut best: Option<(Vec<Complex>, Vec<Complex>, usize)> = None;
+    let mut tried = 0;
     for q in 1..=max_q {
         if 2 * q > scaled.len() {
             break;
         }
+        tried += 1;
         if let Some((poles_s, resid_s)) = try_order(&scaled, q) {
             let full_match = moments_reproduced(&poles_s, &resid_s, &scaled);
             best = Some((poles_s, resid_s, q));
@@ -566,7 +581,7 @@ pub fn fit_model(mu: &[f64], max_q: usize) -> Result<ReducedModel, AweError> {
             break;
         }
     }
-    match best {
+    let model = match best {
         Some((poles_s, resid_s, q)) => {
             // Un-scale: p = p'·ω₀, k = k'·ω₀ (residues scale with s).
             let poles: Vec<Complex> = poles_s.iter().map(|&p| p * omega0).collect();
@@ -584,7 +599,10 @@ pub fn fit_model(mu: &[f64], max_q: usize) -> Result<ReducedModel, AweError> {
                 let p = Complex::from_real(mu[0] / mu[1]);
                 let k = -(p * mu0);
                 oblx_telemetry::incr(oblx_telemetry::Counter::AweForcedOnePole);
-                return Ok(ReducedModel::new(vec![p], vec![k], mu0, mu.to_vec(), 1));
+                return (
+                    Ok(ReducedModel::new(vec![p], vec![k], mu0, mu.to_vec(), 1)),
+                    tried,
+                );
             }
             // Nothing fits at all (µ0 or µ1 is exactly zero — typical
             // of cut-off states with a capacitively-decoupled output):
@@ -595,7 +613,8 @@ pub fn fit_model(mu: &[f64], max_q: usize) -> Result<ReducedModel, AweError> {
             oblx_telemetry::incr(oblx_telemetry::Counter::AweConstant);
             Ok(ReducedModel::constant(mu0))
         }
-    }
+    };
+    (model, tried)
 }
 
 /// Checks whether a pole/residue set reproduces the whole scaled moment
@@ -1018,6 +1037,32 @@ c3 out 0 7.95775p
             Err(AweError::SingularG) => {}
             other => panic!("expected SingularG, got {other:?}"),
         }
+    }
+
+    /// The order loop stops at the first order that reproduces every
+    /// moment, or at the first order that fails after one has fitted;
+    /// `fit_counting_orders` reports the orders it tried.
+    #[test]
+    fn fit_counts_the_orders_it_tries() {
+        // Two poles: q = 1 fits its own two moments but not all eight,
+        // q = 2 reproduces all of them.
+        let mu = exact_moments(&[-1.0e3, -1.0e6], &[-1.0e11 / 0.999, 1.0e8 / 0.999], 8);
+        let (model, tried) = fit_counting_orders(&mu, 4);
+        assert_eq!((model.unwrap().order(), tried), (2, 2));
+        // Three poles over twelve moments: q = 1, 2, 3, stopping at 3
+        // although max_q allows 6.
+        let mu = exact_moments(&[-1.0, -20.0, -400.0], &[1.0, 2.0, -3.0], 12);
+        let (model, tried) = fit_counting_orders(&mu, 6);
+        assert_eq!((model.unwrap().order(), tried), (3, 3));
+        // One pole with a perturbed tail: q = 1 fits but misses the
+        // last moment, q = 2 meets a rank-one Hankel matrix and fails,
+        // which ends the scan.
+        let mut mu = exact_moments(&[-50.0], &[-100.0], 8);
+        mu[7] *= 1.01;
+        let (model, tried) = fit_counting_orders(&mu, 4);
+        assert_eq!((model.unwrap().order(), tried), (1, 2));
+        // A zero transfer function tries none.
+        assert_eq!(fit_counting_orders(&[0.0; 6], 3).1, 0);
     }
 
     #[test]

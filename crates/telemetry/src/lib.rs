@@ -138,6 +138,11 @@ pub enum Counter {
     LeaseLost,
     /// Seed tasks claimed from a job sharded by a different host.
     SeedStolen,
+    /// Padé orders tried by base AWE fits (summed; one add per fit).
+    AweBaseOrders,
+    /// Padé orders tried by the fits of shifted re-expansions (summed;
+    /// one add per fit).
+    AweShiftOrders,
     /// Number of counters (array size), not a real counter.
     Count,
 }
@@ -174,6 +179,8 @@ const COUNTER_NAMES: [&str; Counter::Count as usize] = [
     "lease_reaped",
     "lease_lost",
     "seed_stolen",
+    "awe_base_orders",
+    "awe_shift_orders",
 ];
 
 static COUNTERS: [AtomicU64; Counter::Count as usize] = [ZERO; Counter::Count as usize];
@@ -783,6 +790,24 @@ impl Snapshot {
         if !orders.is_empty() {
             let _ = writeln!(out, "awe fit orders: {}", orders.join(" "));
         }
+        // Orders tried per fit: the base fit and the shifted
+        // re-expansion each run under their own span.
+        let per_span = |counter: &str, span: &str| {
+            let n = self
+                .spans
+                .iter()
+                .find(|(s, _)| *s == span)
+                .map_or(0, |(_, h)| h.count);
+            (n > 0).then(|| self.counter(counter) as f64 / n as f64)
+        };
+        if let Some(base) = per_span("awe_base_orders", "awe_base_fit") {
+            let shift = per_span("awe_shift_orders", "awe_shift")
+                .map_or_else(|| "-".to_string(), |v| format!("{v:.2}"));
+            let _ = writeln!(
+                out,
+                "awe orders tried: {base:.2} per base fit, {shift} per shifted re-expansion"
+            );
+        }
         let _ = writeln!(
             out,
             "lu: {} factors, {} ill-conditioned (pivot ratio p50 {:.1e}, p99 {:.1e})",
@@ -913,6 +938,27 @@ mod tests {
         assert_eq!(snap.counter("lu_factor"), 3);
         assert_eq!(snap.counter("lu_ill_conditioned"), 2);
         assert_eq!(snap.pivot_ratio.count, 2, "infinite ratio skips histogram");
+    }
+
+    #[test]
+    fn render_reports_orders_tried_per_fit() {
+        let _guard = TEST_LOCK.lock().unwrap();
+        reset();
+        set_enabled(true);
+        for _ in 0..2 {
+            let _s = span(SpanKind::AweBaseFit);
+        }
+        add(Counter::AweBaseOrders, 5);
+        drop(span(SpanKind::AweShift));
+        add(Counter::AweShiftOrders, 4);
+        let snap = Snapshot::capture();
+        set_enabled(false);
+        assert!(
+            snap.render()
+                .contains("awe orders tried: 2.50 per base fit, 4.00 per shifted re-expansion"),
+            "{}",
+            snap.render()
+        );
     }
 
     #[test]
