@@ -76,6 +76,10 @@ pub enum HttpError {
     HeadTooLarge,
     /// Body over the configured cap → 413.
     BodyTooLarge(usize),
+    /// A `Transfer-Encoding` header → 411. Only `Content-Length`
+    /// framing is read, so a chunked body would otherwise be left on
+    /// the connection and parsed as the next request.
+    LengthRequired,
     /// Socket error or timeout; nothing sensible to answer.
     Io(io::Error),
 }
@@ -122,12 +126,26 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         None => (target.to_string(), String::new()),
     };
 
-    let content_length = match headers.iter().find(|(k, _)| k == "content-length") {
-        Some((_, v)) => v
+    // Framing (RFC 9112 §6.3): a body must be delimited by exactly one
+    // Content-Length value. Anything else is answered and the
+    // connection closed, so no unread body bytes can be taken for the
+    // next request.
+    if headers.iter().any(|(k, _)| k == "transfer-encoding") {
+        return Err(HttpError::LengthRequired);
+    }
+    let mut content_length = None;
+    for (_, v) in headers.iter().filter(|(k, _)| k == "content-length") {
+        let n = v
             .parse::<usize>()
-            .map_err(|_| HttpError::BadRequest(format!("unparseable Content-Length `{v}`")))?,
-        None => 0,
-    };
+            .map_err(|_| HttpError::BadRequest(format!("unparseable Content-Length `{v}`")))?;
+        if content_length.is_some_and(|m| m != n) {
+            return Err(HttpError::BadRequest(
+                "conflicting Content-Length values".into(),
+            ));
+        }
+        content_length = Some(n);
+    }
+    let content_length = content_length.unwrap_or(0);
     if content_length > max_body {
         return Err(HttpError::BodyTooLarge(content_length));
     }
@@ -161,14 +179,19 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     })
 }
 
-/// Reads until the `\r\n\r\n` head terminator (capped at
-/// [`MAX_HEAD_BYTES`]); returns the head text and any body bytes that
-/// arrived in the same reads.
+/// Reads until the `\r\n\r\n` head terminator (the head, terminator
+/// included, capped at [`MAX_HEAD_BYTES`]); returns the head text and
+/// any body bytes that arrived in the same reads.
 fn read_head(stream: &mut TcpStream) -> Result<(String, Vec<u8>), HttpError> {
     let mut buf: Vec<u8> = Vec::with_capacity(1024);
     let mut chunk = [0u8; 1024];
     loop {
         if let Some(end) = find_head_end(&buf) {
+            // The cap counts the terminator and holds however the bytes
+            // arrived: a read may carry the head past the cap.
+            if end + 4 > MAX_HEAD_BYTES {
+                return Err(HttpError::HeadTooLarge);
+            }
             let head = std::str::from_utf8(&buf[..end])
                 .map_err(|_| HttpError::BadRequest("head is not UTF-8".into()))?
                 .to_string();
@@ -199,6 +222,7 @@ pub fn reason(status: u16) -> &'static str {
         404 => "Not Found",
         405 => "Method Not Allowed",
         409 => "Conflict",
+        411 => "Length Required",
         413 => "Payload Too Large",
         422 => "Unprocessable Entity",
         429 => "Too Many Requests",
@@ -377,6 +401,49 @@ mod tests {
         assert!(!ka(b"GET / HTTP/1.0\r\n\r\n"), "1.0 defaults to close");
         assert!(ka(b"GET / HTTP/1.0\r\nConnection: keep-alive\r\n\r\n"));
         assert!(!ka(b"GET / HTTP/1.1\r\nConnection: Close\r\n\r\n"));
+    }
+
+    /// A chunked request whose body has not arrived yet is answered at
+    /// once: it used to parse as a body-less request on a kept-alive
+    /// connection, so the chunk-size line became the next request line.
+    #[test]
+    fn transfer_encoding_is_length_required_without_waiting_for_the_body() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let (done_tx, done_rx) = std::sync::mpsc::channel::<()>();
+        let writer = std::thread::spawn(move || {
+            let mut s = TcpStream::connect(addr).unwrap();
+            s.write_all(b"POST /v1/jobs HTTP/1.1\r\nHost: x\r\nTransfer-Encoding: chunked\r\n\r\n")
+                .unwrap();
+            // Hold the socket open, body unsent, until the parse is done.
+            done_rx.recv().unwrap();
+        });
+        let (mut conn, _) = listener.accept().unwrap();
+        conn.set_read_timeout(Some(std::time::Duration::from_secs(30)))
+            .unwrap();
+        let outcome = read_request(&mut conn, 1024);
+        done_tx.send(()).unwrap();
+        writer.join().unwrap();
+        assert!(
+            matches!(outcome, Err(HttpError::LengthRequired)),
+            "{outcome:?}"
+        );
+    }
+
+    #[test]
+    fn conflicting_content_lengths_are_rejected_and_equal_ones_accepted() {
+        let err = parse_bytes(
+            b"POST / HTTP/1.1\r\nContent-Length: 4\r\nContent-Length: 2\r\n\r\nabcd",
+            1024,
+        )
+        .unwrap_err();
+        assert!(matches!(err, HttpError::BadRequest(ref m) if m.contains("conflicting")));
+        let req = parse_bytes(
+            b"POST / HTTP/1.1\r\nContent-Length: 4\r\ncontent-length: 4\r\n\r\nabcd",
+            1024,
+        )
+        .unwrap();
+        assert_eq!(req.body, b"abcd");
     }
 
     #[test]

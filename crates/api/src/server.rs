@@ -288,6 +288,14 @@ fn serve_one(
             let _ = http::respond_json(stream, 431, &body, false);
             return Some((431, false));
         }
+        Err(HttpError::LengthRequired) => {
+            let body = routes::error_body(
+                "length_required",
+                "Transfer-Encoding is not supported; send the body with Content-Length",
+            );
+            let _ = http::respond_json(stream, 411, &body, false);
+            return Some((411, false));
+        }
         Err(HttpError::BodyTooLarge(n)) => {
             let body = routes::error_body(
                 "body_too_large",

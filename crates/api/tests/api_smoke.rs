@@ -344,6 +344,42 @@ fn keep_alive_serves_many_requests_then_caps_the_connection() {
     stop(server, &shutdown, pool, &dir);
 }
 
+/// Request framing the edge does not read is answered and the
+/// connection closed: a chunked POST (its head sent, its body held
+/// back) gets 411 at once, and two different `Content-Length` values
+/// get 400. Either way no body bytes are left to be parsed as the next
+/// request.
+#[test]
+fn unsupported_framing_is_answered_and_the_connection_closed() {
+    use std::io::{Read as _, Write as _};
+    let opts = ServerOptions {
+        quota_rate: 0.0,
+        ..ServerOptions::default()
+    };
+    let (server, shutdown, pool, dir) = start("framing", opts, 0);
+    for (head, status) in [
+        (
+            "POST /v1/jobs HTTP/1.1\r\nHost: t\r\nTransfer-Encoding: chunked\r\n\r\n",
+            411,
+        ),
+        (
+            "POST /v1/jobs HTTP/1.1\r\nHost: t\r\nContent-Length: 2\r\nContent-Length: 40\r\n\r\n",
+            400,
+        ),
+    ] {
+        let mut conn = std::net::TcpStream::connect(server.addr()).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(30)))
+            .unwrap();
+        conn.write_all(head.as_bytes()).unwrap();
+        let mut bytes = Vec::new();
+        conn.read_to_end(&mut bytes).unwrap();
+        let r = parse_response(&bytes);
+        assert_eq!(r.status, status, "{head:?}: {}", r.text());
+        assert_eq!(r.header("connection"), Some("close"));
+    }
+    stop(server, &shutdown, pool, &dir);
+}
+
 #[test]
 fn cluster_view_reports_hosts_and_worker_state() {
     let opts = ServerOptions {

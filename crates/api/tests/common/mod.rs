@@ -92,7 +92,8 @@ pub fn post(addr: SocketAddr, path: &str, body: &str) -> Response {
     request(addr, "POST", path, Some(body))
 }
 
-fn parse_response(bytes: &[u8]) -> Response {
+/// Parses one raw response off the wire, decoding a chunked body.
+pub fn parse_response(bytes: &[u8]) -> Response {
     let head_end = bytes
         .windows(4)
         .position(|w| w == b"\r\n\r\n")
