@@ -62,6 +62,10 @@ impl<T: Scalar> Lu<T> {
         assert_eq!(n, a.cols(), "LU requires a square matrix");
         let mut perm: Vec<usize> = (0..n).collect();
         let mut sign_flips = 0usize;
+        // The chosen pivot magnitudes are exactly the magnitudes of U's
+        // diagonal (row k is final once column k is eliminated), so the
+        // recorded pivot ratio needs no second pass over the factor.
+        let (mut lo, mut hi) = (f64::INFINITY, 0.0f64);
 
         for k in 0..n {
             // Partial pivot: largest magnitude in column k at/below row k.
@@ -80,6 +84,8 @@ impl<T: Scalar> Lu<T> {
             if !(best > 0.0) || !best.is_finite() {
                 return Err(SingularMatrixError { column: k });
             }
+            lo = lo.min(best);
+            hi = hi.max(best);
             if p != k {
                 for c in 0..n {
                     let tmp = a.get(k, c);
@@ -107,8 +113,9 @@ impl<T: Scalar> Lu<T> {
             perm,
             sign_flips,
         };
+        debug_assert_eq!(ratio_of(lo, hi).to_bits(), lu.pivot_ratio().to_bits());
         if oblx_telemetry::enabled() {
-            oblx_telemetry::record_pivot_ratio(lu.pivot_ratio());
+            oblx_telemetry::record_pivot_ratio(ratio_of(lo, hi));
         }
         Ok(lu)
     }
@@ -244,11 +251,16 @@ impl<T: Scalar> Lu<T> {
             lo = lo.min(m);
             hi = hi.max(m);
         }
-        if lo == 0.0 {
-            f64::INFINITY
-        } else {
-            hi / lo
-        }
+        ratio_of(lo, hi)
+    }
+}
+
+/// `hi / lo` of the pivot magnitudes, infinite when a pivot is zero.
+fn ratio_of(lo: f64, hi: f64) -> f64 {
+    if lo == 0.0 {
+        f64::INFINITY
+    } else {
+        hi / lo
     }
 }
 
