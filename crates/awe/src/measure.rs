@@ -178,9 +178,9 @@ mod tests {
         assert_eq!(phase_margin(&m), 0.0);
     }
 
-    /// The unity-gain scan as it was written before its `|H|` tests
-    /// went through [`Complex::norm_below`]: every test through
-    /// `gain_at`, i.e. `hypot`.
+    /// The unity-gain scan with every `|H|` test taken through
+    /// `gain_at` (`hypot`): the reference the hypot-free scan must
+    /// match bit for bit.
     fn reference_ugf(model: &ReducedModel) -> f64 {
         const F_MAX: f64 = 1.0e12;
         if model.poles().is_empty() || model.dc_gain() <= 1.0 {

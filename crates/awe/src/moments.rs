@@ -508,6 +508,8 @@ fn guard_model(model: ReducedModel) -> Result<ReducedModel, AweError> {
 /// treat pole-free models pessimistically (no frequency information ⇒
 /// no unity crossing), so the constant fallback can never silently
 /// report a speed spec as met.
+///
+/// The orders tried are recorded as a base fit's (`awe_base_orders`).
 pub fn fit_model(mu: &[f64], max_q: usize) -> Result<ReducedModel, AweError> {
     let (model, tried) = fit_counting_orders(mu, max_q);
     oblx_telemetry::add(Counter::AweBaseOrders, tried);

@@ -3,9 +3,10 @@
 //! AWE produces a Padé denominator polynomial whose roots are the
 //! reduced-order model's poles. Orders are small (q ≤ 8 in practice),
 //! but the iteration count grows with the degree: on the denominators
-//! the benchmark circuits fit, the mean is ~2 iterations at degree 1,
-//! 6 at degree 2, 8–11 at degree 3, 16–27 at degree 6 and up to 39 at
-//! degree 7, where up to 3.8% of calls stop at the 80-iteration cap.
+//! the seven benchmark circuits fit, the mean is 2 iterations at
+//! degree 1, ~6 at degree 2, 9–11 at degree 3, 16–26 at degree 6 and
+//! up to 38 at degree 7, where up to 3.5% of calls stop at the
+//! 80-iteration cap.
 //!
 //! [`aberth_roots_into`] is the root finder every caller uses. It runs
 //! in caller-owned buffers and decides each threshold test of the
@@ -113,8 +114,9 @@ fn trim(c: &mut Vec<Complex>) {
     }
 }
 
-/// Horner's rule over ascending coefficients, from an accumulator of
-/// zero (so `0·x` meets a non-finite `x` exactly as it always has).
+/// Horner's rule over ascending coefficients. The accumulator starts at
+/// zero, and the first step's `0·x + c` is not `c` when `x` is
+/// non-finite, so the start value is part of the result's bits.
 #[inline]
 fn horner(c: &[Complex], x: Complex) -> Complex {
     let mut acc = Complex::ZERO;
