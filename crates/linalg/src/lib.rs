@@ -44,6 +44,6 @@ mod structured;
 pub use complex::Complex;
 pub use lu::{solve_once, Lu, SingularMatrixError};
 pub use matrix::{Mat, Scalar};
-pub use poly::{aberth_roots, aberth_roots_into, reference_aberth_roots, Poly, RootBuffers};
+pub use poly::{aberth_roots, reference_aberth_roots, Poly};
 pub use sparse::SparseLu;
 pub use structured::{solve_hankel, solve_vandermonde};

@@ -8,14 +8,13 @@
 //! up to 38 at degree 7, where up to 3.5% of calls stop at the
 //! 80-iteration cap.
 //!
-//! [`aberth_roots_into`] is the root finder every caller uses. It runs
-//! in caller-owned buffers and decides each threshold test of the
-//! iteration from squared moduli ([`Complex::norm_below`],
-//! [`Complex::norm_above`]), calling `hypot` only where the squares
-//! cannot tell. [`reference_aberth_roots`] is the same iteration with
-//! every test written through `norm()`; it is kept as the reference
-//! that tests and the `pade_roots` bench compare against, root for
-//! root and bit for bit.
+//! [`aberth_roots`] decides each threshold test of the iteration from
+//! squared moduli ([`Complex::norm_below`], [`Complex::norm_above`]),
+//! calling `hypot` only where the squares cannot tell.
+//! [`reference_aberth_roots`] is the same iteration with every test
+//! written through `norm()`; it is kept as the reference that tests and
+//! the `pade_roots` bench compare against, root for root and bit for
+//! bit.
 
 use crate::Complex;
 
@@ -46,7 +45,7 @@ impl Poly {
     /// Trailing (highest-order) zero coefficients are trimmed.
     pub fn new(coeffs: Vec<Complex>) -> Self {
         let mut p = Poly { coeffs };
-        trim(&mut p.coeffs);
+        p.trim();
         p
     }
 
@@ -70,6 +69,13 @@ impl Poly {
         Poly::new(coeffs)
     }
 
+    /// Drops highest-order zero coefficients, keeping at least one.
+    fn trim(&mut self) {
+        while self.coeffs.len() > 1 && self.coeffs.last().is_some_and(|&c| is_zero(c)) {
+            self.coeffs.pop();
+        }
+    }
+
     /// The polynomial degree (0 for constants, including the zero poly).
     pub fn degree(&self) -> usize {
         self.coeffs.len().saturating_sub(1)
@@ -82,14 +88,25 @@ impl Poly {
 
     /// Evaluates the polynomial at `x` by Horner's rule.
     pub fn eval(&self, x: Complex) -> Complex {
-        horner(&self.coeffs, x)
+        let mut acc = Complex::ZERO;
+        for &c in self.coeffs.iter().rev() {
+            acc = acc * x + c;
+        }
+        acc
     }
 
     /// The formal derivative.
     pub fn derivative(&self) -> Poly {
-        let mut d = Vec::new();
-        derivative_into(&self.coeffs, &mut d);
-        Poly { coeffs: d }
+        if self.coeffs.len() <= 1 {
+            return Poly::new(vec![Complex::ZERO]);
+        }
+        Poly::new(
+            self.coeffs[1..]
+                .iter()
+                .enumerate()
+                .map(|(i, &c)| c * (i as f64 + 1.0))
+                .collect(),
+        )
     }
 
     /// All complex roots via [`aberth_roots`].
@@ -107,42 +124,6 @@ fn is_zero(c: Complex) -> bool {
     c.re == 0.0 && c.im == 0.0
 }
 
-/// Drops highest-order zero coefficients, keeping at least one.
-fn trim(c: &mut Vec<Complex>) {
-    while c.len() > 1 && c.last().is_some_and(|&x| is_zero(x)) {
-        c.pop();
-    }
-}
-
-/// Horner's rule over ascending coefficients. The accumulator starts at
-/// zero, and the first step's `0·x + c` is not `c` when `x` is
-/// non-finite, so the start value is part of the result's bits.
-#[inline]
-fn horner(c: &[Complex], x: Complex) -> Complex {
-    let mut acc = Complex::ZERO;
-    for &ci in c.iter().rev() {
-        acc = acc * x + ci;
-    }
-    acc
-}
-
-/// The formal derivative of `c` into `d` (cleared and refilled, then
-/// trimmed; the zero polynomial for constants).
-fn derivative_into(c: &[Complex], d: &mut Vec<Complex>) {
-    d.clear();
-    if c.len() <= 1 {
-        d.push(Complex::ZERO);
-        return;
-    }
-    d.extend(
-        c[1..]
-            .iter()
-            .enumerate()
-            .map(|(i, &ci)| ci * (i as f64 + 1.0)),
-    );
-    trim(d);
-}
-
 /// Iteration cap and convergence tolerance of the Aberth iteration.
 const MAX_ITERS: usize = 80;
 const TOL: f64 = 1e-13;
@@ -156,45 +137,12 @@ const TOL: f64 = 1e-13;
 /// polish step per root follows. See the module docs for measured
 /// iteration counts.
 ///
-/// Allocates its result and two scratch vectors; a caller that finds
-/// roots repeatedly should hold a [`RootBuffers`] and call
-/// [`aberth_roots_into`].
-pub fn aberth_roots(coeffs: &[Complex]) -> Vec<Complex> {
-    let mut roots = Vec::new();
-    aberth_roots_into(coeffs, &mut RootBuffers::default(), &mut roots);
-    roots
-}
-
-/// Caller-owned scratch for [`aberth_roots_into`]: the monic polynomial
-/// and its derivative.
-#[derive(Debug, Clone, Default)]
-pub struct RootBuffers {
-    p: Vec<Complex>,
-    dp: Vec<Complex>,
-}
-
-/// `|w| < k·(1 + |z|)` — the form of every tolerance test in the
-/// iteration — decided from squared moduli, or `None` in the band
-/// around the threshold (see [`Complex::norm_below`]). An infinite or
-/// NaN `|z|²` makes the threshold non-finite, which `norm_below` passes
-/// back as `None`; a subnormal or zero `|z|²` is harmless, because
-/// `1 + |z|` rounds to 1 for `|z|` that small.
-#[inline]
-fn below_rel(w: Complex, k: f64, z: Complex) -> Option<bool> {
-    w.norm_below(k * (1.0 + z.norm_sqr().sqrt()))
-}
-
-/// [`aberth_roots`] in caller-owned buffers: the roots land in `roots`
-/// (cleared and refilled, exact zero roots first), the monic polynomial
-/// and its derivative in `bufs`.
-///
 /// The result equals [`reference_aberth_roots`] bit for bit. The
 /// arithmetic is the same expression for expression; only the threshold
 /// tests differ in how they decide. Each decides from squared moduli or
 /// components and falls back to the reference's `hypot` expression
 /// where those cannot tell, so every branch goes the same way.
-pub fn aberth_roots_into(coeffs: &[Complex], bufs: &mut RootBuffers, roots: &mut Vec<Complex>) {
-    roots.clear();
+pub fn aberth_roots(coeffs: &[Complex]) -> Vec<Complex> {
     // Trim highest-order zeros, then deflate exact zero roots.
     let mut hi = coeffs.len();
     while hi > 1 && is_zero(coeffs[hi - 1]) {
@@ -202,31 +150,29 @@ pub fn aberth_roots_into(coeffs: &[Complex], bufs: &mut RootBuffers, roots: &mut
     }
     let n = hi.saturating_sub(1);
     if n == 0 {
-        return;
+        return Vec::new();
     }
     let mut lo = 0usize;
     while lo < n && is_zero(coeffs[lo]) {
         lo += 1;
     }
-    roots.resize(lo, Complex::ZERO);
     let c = &coeffs[lo..hi];
     let m = c.len() - 1;
+    let mut roots = Vec::with_capacity(lo + m);
+    roots.resize(lo, Complex::ZERO);
     if m == 0 {
-        return;
+        return roots;
     }
 
     // Normalize to monic (`x / lead` is `x · lead⁻¹`).
     let inv_lead = c[m].recip();
-    let p = &mut bufs.p;
-    p.clear();
-    p.extend(c.iter().map(|&x| x * inv_lead));
+    let monic: Vec<Complex> = c.iter().map(|&x| x * inv_lead).collect();
     // Initial guesses on a circle with radius from the Cauchy bound,
     // slightly perturbed to break symmetry. The radius is the one
     // modulus that feeds arithmetic, so it keeps `norm()`.
-    let radius = 1.0 + p[..m].iter().map(|x| x.norm()).fold(0.0f64, f64::max);
-    trim(p);
-    derivative_into(p, &mut bufs.dp);
-    let (p, dp) = (&bufs.p[..], &bufs.dp[..]);
+    let radius = 1.0 + monic[..m].iter().map(|x| x.norm()).fold(0.0f64, f64::max);
+    let p = Poly::new(monic);
+    let dp = p.derivative();
     roots.extend((0..m).map(|k| {
         let theta = 2.0 * std::f64::consts::PI * (k as f64 + 0.25) / m as f64 + 0.4;
         Complex::from_polar(radius * 0.8, theta)
@@ -240,11 +186,11 @@ pub fn aberth_roots_into(coeffs: &[Complex], bufs: &mut RootBuffers, roots: &mut
         let mut converged = true;
         for i in 0..m {
             let zi = z[i];
-            let pv = horner(p, zi);
+            let pv = p.eval(zi);
             if below_rel(pv, TOL, zi).unwrap_or_else(|| pv.norm() < TOL * (1.0 + zi.norm())) {
                 continue;
             }
-            let dv = horner(dp, zi);
+            let dv = dp.eval(zi);
             let newton = if dv.norm_above(0.0) {
                 pv / dv
             } else {
@@ -281,21 +227,33 @@ pub fn aberth_roots_into(coeffs: &[Complex], bufs: &mut RootBuffers, roots: &mut
 
     // One polishing Newton step per root.
     for zi in z.iter_mut() {
-        let dv = horner(dp, *zi);
+        let dv = dp.eval(*zi);
         if dv.norm_above(0.0) {
-            let corr = horner(p, *zi) / dv;
+            let corr = p.eval(*zi) / dv;
             if below_rel(corr, 0.1, *zi).unwrap_or_else(|| corr.norm() < 0.1 * (1.0 + zi.norm())) {
                 *zi -= corr;
             }
         }
     }
+    roots
+}
+
+/// `|w| < k·(1 + |z|)` — the form of every tolerance test in the
+/// iteration — decided from squared moduli, or `None` in the band
+/// around the threshold (see [`Complex::norm_below`]). An infinite or
+/// NaN `|z|²` makes the threshold non-finite, which `norm_below` passes
+/// back as `None`; a subnormal or zero `|z|²` is harmless, because
+/// `1 + |z|` rounds to 1 for `|z|` that small.
+#[inline]
+fn below_rel(w: Complex, k: f64, z: Complex) -> Option<bool> {
+    w.norm_below(k * (1.0 + z.norm_sqr().sqrt()))
 }
 
 /// The reference Aberth–Ehrlich iteration: [`aberth_roots`] with every
 /// threshold test computed through `norm()` (`hypot`), six times per
 /// root per sweep and once per root pair. Kept, unchanged, as the
 /// reference that the `poly.rs` proptest and the `pade_roots` bench
-/// compare [`aberth_roots_into`] against; nothing else calls it.
+/// compare [`aberth_roots`] against; nothing else calls it.
 pub fn reference_aberth_roots(coeffs: &[Complex]) -> Vec<Complex> {
     // Trim trailing zeros (highest order).
     let mut c: Vec<Complex> = coeffs.to_vec();
@@ -624,12 +582,10 @@ mod tests {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
                 (state >> 11) as f64 / (1u64 << 53) as f64
             };
-            let mut bufs = RootBuffers::default();
-            let mut roots = Vec::new();
             for _ in 0..30 {
                 let c = random_coeffs(&mut next);
                 let reference = reference_aberth_roots(&c);
-                aberth_roots_into(&c, &mut bufs, &mut roots);
+                let roots = aberth_roots(&c);
                 prop_assert!(same_roots(&roots, &reference), "{:?}: {:?} vs {:?}", c, roots, reference);
             }
         }
