@@ -3,7 +3,6 @@
 use crate::model::{AweError, ReducedModel};
 use oblx_linalg::{solve_hankel, solve_vandermonde, Complex, Poly, SparseLu};
 use oblx_mna::{LinearSystem, OutputSelector, SparseStampMap};
-use oblx_telemetry::Counter;
 
 /// Structural compressed rows of `Cᵀ` over a [`SparseStampMap`] union
 /// pattern. MNA `C` matrices are overwhelmingly zero — only capacitor
@@ -184,8 +183,8 @@ impl AweEngine {
             &mut scratch,
         );
         let mu: Vec<f64> = avs.iter().map(|a| dot(a, b)).collect();
-        let (local, tried) = fit_counting_orders(&mu, max_q);
-        oblx_telemetry::add(Counter::AweShiftOrders, tried);
+        let (local, tried) = fit_model(&mu, max_q);
+        oblx_telemetry::record_orders_tried(true, tried);
         let local = local?;
         let poles: Vec<Complex> = local
             .poles()
@@ -414,12 +413,12 @@ fn analyze_from_moments<F>(
 where
     F: FnOnce(f64, f64) -> Result<ReducedModel, AweError>,
 {
-    let _span = oblx_telemetry::span(oblx_telemetry::SpanKind::AweAnalyze);
+    let analyze_span = oblx_telemetry::span(oblx_telemetry::SpanKind::AweAnalyze);
     let (base, tried) = {
-        let _fit = oblx_telemetry::span(oblx_telemetry::SpanKind::AweBaseFit);
-        fit_counting_orders(&mu, max_q)
+        let _fit = analyze_span.nested(oblx_telemetry::SpanKind::AweBaseFit);
+        fit_model(&mu, max_q)
     };
-    oblx_telemetry::add(Counter::AweBaseOrders, tried);
+    oblx_telemetry::record_orders_tried(false, tried);
     let base = guard_model(base?)?;
 
     // When the unity-gain crossing sits far above the dominant pole,
@@ -509,17 +508,10 @@ fn guard_model(model: ReducedModel) -> Result<ReducedModel, AweError> {
 /// no unity crossing), so the constant fallback can never silently
 /// report a speed spec as met.
 ///
-/// The orders tried are recorded as a base fit's (`awe_base_orders`).
-pub fn fit_model(mu: &[f64], max_q: usize) -> Result<ReducedModel, AweError> {
-    let (model, tried) = fit_counting_orders(mu, max_q);
-    oblx_telemetry::add(Counter::AweBaseOrders, tried);
-    model
-}
-
-/// [`fit_model`], also returning how many orders it tried (Hankel
-/// solves attempted), for the caller to record against the base fit or
-/// the shifted re-expansion.
-fn fit_counting_orders(mu: &[f64], max_q: usize) -> (Result<ReducedModel, AweError>, u64) {
+/// Also returns how many orders it tried (Hankel solves attempted,
+/// q = 1 … that count), for the caller to record against the base fit
+/// or the shifted re-expansion.
+pub fn fit_model(mu: &[f64], max_q: usize) -> (Result<ReducedModel, AweError>, usize) {
     oblx_telemetry::incr(oblx_telemetry::Counter::AweFit);
     let mu0 = mu.first().copied().unwrap_or(0.0);
 
@@ -826,7 +818,7 @@ c2 out 0 159.155p
         let k1 = a0 * 1.0e3 * 1.0e6 / (1.0e6 - 1.0e3);
         let resid = [-k1, k1 * 1.0e3 / 1.0e6];
         let mu = exact_moments(&poles, &resid, 8);
-        let model = fit_model(&mu, 4).unwrap();
+        let model = fit_model(&mu, 4).0.unwrap();
         for expect in poles {
             let best = model
                 .poles()
@@ -1043,28 +1035,28 @@ c3 out 0 7.95775p
 
     /// The order loop stops at the first order that reproduces every
     /// moment, or at the first order that fails after one has fitted;
-    /// `fit_counting_orders` reports the orders it tried.
+    /// `fit_model` reports the orders it tried.
     #[test]
     fn fit_counts_the_orders_it_tries() {
         // Two poles: q = 1 fits its own two moments but not all eight,
         // q = 2 reproduces all of them.
         let mu = exact_moments(&[-1.0e3, -1.0e6], &[-1.0e11 / 0.999, 1.0e8 / 0.999], 8);
-        let (model, tried) = fit_counting_orders(&mu, 4);
+        let (model, tried) = fit_model(&mu, 4);
         assert_eq!((model.unwrap().order(), tried), (2, 2));
         // Three poles over twelve moments: q = 1, 2, 3, stopping at 3
         // although max_q allows 6.
         let mu = exact_moments(&[-1.0, -20.0, -400.0], &[1.0, 2.0, -3.0], 12);
-        let (model, tried) = fit_counting_orders(&mu, 6);
+        let (model, tried) = fit_model(&mu, 6);
         assert_eq!((model.unwrap().order(), tried), (3, 3));
         // One pole with a perturbed tail: q = 1 fits but misses the
         // last moment, q = 2 meets a rank-one Hankel matrix and fails,
         // which ends the scan.
         let mut mu = exact_moments(&[-50.0], &[-100.0], 8);
         mu[7] *= 1.01;
-        let (model, tried) = fit_counting_orders(&mu, 4);
+        let (model, tried) = fit_model(&mu, 4);
         assert_eq!((model.unwrap().order(), tried), (1, 2));
         // A zero transfer function tries none.
-        assert_eq!(fit_counting_orders(&[0.0; 6], 3).1, 0);
+        assert_eq!(fit_model(&[0.0; 6], 3).1, 0);
     }
 
     #[test]
@@ -1078,7 +1070,7 @@ c3 out 0 7.95775p
         let poles: [f64; 2] = [-1.0e3, -1.0e8];
         let resid = [-1.0e5, -1.0e3];
         let mu = exact_moments(&poles, &resid, 8);
-        let model = fit_model(&mu, 4).unwrap();
+        let model = fit_model(&mu, 4).0.unwrap();
         assert_eq!(model.order(), 1, "parsimony: one visible pole");
         let p = model.poles()[0];
         assert!((p.re + 1.0e3).abs() < 1.0, "dominant pole kept: {p}");

@@ -90,7 +90,10 @@ pub enum Counter {
     AweShiftApplied,
     /// Shifted re-expansions rejected by the arbitration check.
     AweShiftRejected,
-    /// Successful LU factorizations observed.
+    /// Successful LU factorizations observed. The registry cell counts
+    /// only those whose pivot ratio the pivot histogram cannot bin;
+    /// snapshots add the histogram's samples, so a record costs one
+    /// relaxed add.
     LuFactor,
     /// LU factorizations whose pivot ratio exceeded [`PIVOT_RATIO_WARN`].
     LuIllConditioned,
@@ -138,11 +141,6 @@ pub enum Counter {
     LeaseLost,
     /// Seed tasks claimed from a job sharded by a different host.
     SeedStolen,
-    /// Padé orders tried by base AWE fits (summed; one add per fit).
-    AweBaseOrders,
-    /// Padé orders tried by the fits of shifted re-expansions (summed;
-    /// one add per fit).
-    AweShiftOrders,
     /// Number of counters (array size), not a real counter.
     Count,
 }
@@ -179,8 +177,6 @@ const COUNTER_NAMES: [&str; Counter::Count as usize] = [
     "lease_reaped",
     "lease_lost",
     "seed_stolen",
-    "awe_base_orders",
-    "awe_shift_orders",
 ];
 
 static COUNTERS: [AtomicU64; Counter::Count as usize] = [ZERO; Counter::Count as usize];
@@ -239,9 +235,15 @@ impl Hist {
     }
 
     fn record(&self, value: u64) {
+        self.record_bucket(value);
+        self.sum.fetch_add(value, Relaxed);
+    }
+
+    /// Records `value` in its bucket only, for a histogram whose sum is
+    /// never read (the pivot ratios).
+    fn record_bucket(&self, value: u64) {
         let bucket = (64 - value.leading_zeros() as usize).min(HIST_BUCKETS - 1);
         self.buckets[bucket].fetch_add(1, Relaxed);
-        self.sum.fetch_add(value, Relaxed);
     }
 
     fn reset(&self) {
@@ -296,6 +298,10 @@ static PIVOT_HIST: Hist = Hist::new();
 static MOVE_ATTEMPTS: [AtomicU64; MAX_CLASSES] = [ZERO; MAX_CLASSES];
 static MOVE_ACCEPTS: [AtomicU64; MAX_CLASSES] = [ZERO; MAX_CLASSES];
 static FIT_ORDERS: [AtomicU64; MAX_FIT_ORDER + 1] = [ZERO; MAX_FIT_ORDER + 1];
+/// Fits by the number of Padé orders they tried: base fits, then the
+/// fits of shifted re-expansions.
+static ORDERS_TRIED: [[AtomicU64; MAX_FIT_ORDER + 1]; 2] =
+    [[ZERO; MAX_FIT_ORDER + 1], [ZERO; MAX_FIT_ORDER + 1]];
 
 // Cost-term accumulators: c_obj, c_perf, c_dev, c_dc, total (f64 bits).
 static COST_SUMS: [AtomicU64; 5] = [ZERO; 5];
@@ -340,7 +346,12 @@ pub fn reset() {
         h.reset();
     }
     PIVOT_HIST.reset();
-    for a in MOVE_ATTEMPTS.iter().chain(&MOVE_ACCEPTS).chain(&FIT_ORDERS) {
+    for a in MOVE_ATTEMPTS
+        .iter()
+        .chain(&MOVE_ACCEPTS)
+        .chain(&FIT_ORDERS)
+        .chain(ORDERS_TRIED.iter().flatten())
+    {
         a.store(0, Relaxed);
     }
     for s in &COST_SUMS {
@@ -418,14 +429,25 @@ pub fn record_fit_order(q: usize) {
     }
 }
 
+/// Records that one AWE fit tried `tried` Padé orders (q = 1 …
+/// `tried`), as a shifted re-expansion's fit or a base fit (no-op while
+/// disabled). One relaxed add per fit.
+#[inline]
+pub fn record_orders_tried(shifted: bool, tried: usize) {
+    if enabled() {
+        ORDERS_TRIED[usize::from(shifted)][tried.min(MAX_FIT_ORDER)].fetch_add(1, Relaxed);
+    }
+}
+
 /// Records an LU pivot ratio, flagging ill-conditioned factorizations
 /// (no-op while disabled).
 #[inline]
 pub fn record_pivot_ratio(ratio: f64) {
     if enabled() {
-        COUNTERS[Counter::LuFactor as usize].fetch_add(1, Relaxed);
         if ratio.is_finite() && ratio >= 1.0 {
-            PIVOT_HIST.record(ratio as u64);
+            PIVOT_HIST.record_bucket(ratio as u64);
+        } else {
+            COUNTERS[Counter::LuFactor as usize].fetch_add(1, Relaxed);
         }
         // NaN counts as ill-conditioned: a pivot ratio that cannot even
         // be computed is the worst conditioning signal there is.
@@ -468,6 +490,18 @@ pub fn span(kind: SpanKind) -> Span {
     Span {
         kind,
         start: enabled().then(Instant::now),
+    }
+}
+
+impl Span {
+    /// Opens a span of `kind` that starts when `self` did, for a span
+    /// opened first thing inside another: it saves a clock read.
+    #[inline]
+    pub fn nested(&self, kind: SpanKind) -> Span {
+        Span {
+            kind,
+            start: self.start,
+        }
     }
 }
 
@@ -575,7 +609,12 @@ pub struct Snapshot {
     pub spans: Vec<(&'static str, HistStats)>,
     /// AWE fit-order histogram (`fit_orders[q]` = fits of order `q`).
     pub fit_orders: Vec<u64>,
-    /// LU pivot-ratio histogram.
+    /// Base AWE fits by the number of Padé orders they tried
+    /// (`base_orders_tried[t]` = fits that tried q = 1 … `t`).
+    pub base_orders_tried: Vec<u64>,
+    /// The same for the fits of shifted re-expansions.
+    pub shift_orders_tried: Vec<u64>,
+    /// LU pivot-ratio histogram (its `sum` is not kept).
     pub pivot_ratio: HistStats,
     /// Per-worker utilization (only workers with activity).
     pub workers: Vec<WorkerSnap>,
@@ -599,10 +638,18 @@ impl Snapshot {
                 })
             })
             .collect();
+        let pivot_ratio = PIVOT_HIST.snapshot();
         let counters = COUNTER_NAMES
             .iter()
             .enumerate()
-            .map(|(i, name)| (*name, COUNTERS[i].load(Relaxed)))
+            .map(|(i, name)| {
+                let n = COUNTERS[i].load(Relaxed);
+                if i == Counter::LuFactor as usize {
+                    (*name, n + pivot_ratio.count)
+                } else {
+                    (*name, n)
+                }
+            })
             .collect();
         let spans = SPAN_NAMES
             .iter()
@@ -638,7 +685,9 @@ impl Snapshot {
             ],
             spans,
             fit_orders: FIT_ORDERS.iter().map(|a| a.load(Relaxed)).collect(),
-            pivot_ratio: PIVOT_HIST.snapshot(),
+            base_orders_tried: ORDERS_TRIED[0].iter().map(|a| a.load(Relaxed)).collect(),
+            shift_orders_tried: ORDERS_TRIED[1].iter().map(|a| a.load(Relaxed)).collect(),
+            pivot_ratio,
             workers,
         }
     }
@@ -704,16 +753,24 @@ impl Snapshot {
                 h.count, h.sum, h.p50, h.p90, h.p99
             );
         }
-        s.push_str("},\"awe_fit_orders\":[");
-        for (i, n) in self.fit_orders.iter().enumerate() {
-            if i > 0 {
-                s.push(',');
+        s.push('}');
+        for (key, hist) in [
+            ("awe_fit_orders", &self.fit_orders),
+            ("awe_base_orders_tried", &self.base_orders_tried),
+            ("awe_shift_orders_tried", &self.shift_orders_tried),
+        ] {
+            let _ = write!(s, ",\"{key}\":[");
+            for (i, n) in hist.iter().enumerate() {
+                if i > 0 {
+                    s.push(',');
+                }
+                let _ = write!(s, "{n}");
             }
-            let _ = write!(s, "{n}");
+            s.push(']');
         }
         let _ = write!(
             s,
-            "],\"lu_pivot_ratio\":{{\"count\":{},\"p50\":{},\"p99\":{}}}",
+            ",\"lu_pivot_ratio\":{{\"count\":{},\"p50\":{},\"p99\":{}}}",
             self.pivot_ratio.count, self.pivot_ratio.p50, self.pivot_ratio.p99
         );
         s.push_str(",\"workers\":[");
@@ -788,23 +845,31 @@ impl Snapshot {
         if !orders.is_empty() {
             let _ = writeln!(out, "awe fit orders: {}", orders.join(" "));
         }
-        // Orders tried per fit: the base fit and the shifted
-        // re-expansion each run under their own span.
-        let per_span = |counter: &str, span: &str| {
-            let n = self
-                .spans
-                .iter()
-                .find(|(s, _)| *s == span)
-                .map_or(0, |(_, h)| h.count);
-            (n > 0).then(|| self.counter(counter) as f64 / n as f64)
+        // Orders tried per fit, then the fits that tried each order q:
+        // a fit tries q = 1, 2, … in turn, and each order whose Hankel
+        // solve succeeds finds the roots of a degree-q denominator.
+        let mean_tried = |hist: &[u64]| {
+            let fits: u64 = hist.iter().sum();
+            let tried: u64 = hist.iter().enumerate().map(|(t, n)| t as u64 * n).sum();
+            (fits > 0).then(|| tried as f64 / fits as f64)
         };
-        if let Some(base) = per_span("awe_base_orders", "awe_base_fit") {
-            let shift = per_span("awe_shift_orders", "awe_shift")
+        if let Some(base) = mean_tried(&self.base_orders_tried) {
+            let shift = mean_tried(&self.shift_orders_tried)
                 .map_or_else(|| "-".to_string(), |v| format!("{v:.2}"));
             let _ = writeln!(
                 out,
                 "awe orders tried: {base:.2} per base fit, {shift} per shifted re-expansion"
             );
+            let by_order: Vec<String> = (1..self.base_orders_tried.len())
+                .map(|q| {
+                    let at_least = |hist: &[u64]| hist[q..].iter().sum::<u64>();
+                    at_least(&self.base_orders_tried) + at_least(&self.shift_orders_tried)
+                })
+                .enumerate()
+                .filter(|(_, n)| *n > 0)
+                .map(|(i, n)| format!("q{}:{n}", i + 1))
+                .collect();
+            let _ = writeln!(out, "awe orders tried by q: {}", by_order.join(" "));
         }
         let _ = writeln!(
             out,
@@ -943,19 +1008,28 @@ mod tests {
         let _guard = TEST_LOCK.lock().unwrap();
         reset();
         set_enabled(true);
-        for _ in 0..2 {
-            let _s = span(SpanKind::AweBaseFit);
-        }
-        add(Counter::AweBaseOrders, 5);
-        drop(span(SpanKind::AweShift));
-        add(Counter::AweShiftOrders, 4);
+        record_orders_tried(false, 2);
+        record_orders_tried(false, 3);
+        record_orders_tried(true, 4);
         let snap = Snapshot::capture();
         set_enabled(false);
+        let text = snap.render();
         assert!(
-            snap.render()
-                .contains("awe orders tried: 2.50 per base fit, 4.00 per shifted re-expansion"),
-            "{}",
-            snap.render()
+            text.contains("awe orders tried: 2.50 per base fit, 4.00 per shifted re-expansion"),
+            "{text}"
+        );
+        assert!(
+            text.contains("awe orders tried by q: q1:3 q2:3 q3:2 q4:1\n"),
+            "{text}"
+        );
+        let json = snap.to_json();
+        assert!(
+            json.contains("\"awe_base_orders_tried\":[0,0,1,1,0,"),
+            "{json}"
+        );
+        assert!(
+            json.contains("\"awe_shift_orders_tried\":[0,0,0,0,1,"),
+            "{json}"
         );
     }
 
