@@ -24,6 +24,10 @@
 //! 4. adaptive order: start at the requested `q` and shrink until the
 //!    model reproduces its own moments.
 //!
+//! Steps 2–4 run only for [`Demand::Model`] jobs. A [`Demand::DcOnly`]
+//! job, for a caller that reads nothing but the dc value, stops after
+//! `µ0 = a₀·b`, which is exact, and returns a pole-free model of it.
+//!
 //! The resulting [`ReducedModel`] answers the measurement requests that
 //! specifications reference: `dc_gain`, `ugf`, `phase_margin`,
 //! `gain_at`, poles and zeros.
@@ -64,4 +68,4 @@ pub mod moments;
 
 pub use measure::{gain_at, phase_margin, unity_gain_frequency};
 pub use model::{AweError, ReducedModel};
-pub use moments::{analyze, analyze_batch, analyze_batch_with, analyze_with, AweEngine};
+pub use moments::{analyze, analyze_batch, analyze_batch_with, analyze_with, AweEngine, Demand};

@@ -197,6 +197,19 @@ impl AweEngine {
     }
 }
 
+/// What the goals read of one analysis, and so how much of the AWE
+/// pipeline its job runs in [`analyze_batch`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Demand {
+    /// Only the exact zeroth moment `µ0` (`dc_gain`, `dcv`): one adjoint
+    /// solve per probe and a pole-free model of `µ0`, with no Padé fit,
+    /// unity-gain scan or shifted re-expansion.
+    DcOnly,
+    /// The full reduced-order model: `2q` moments, Padé fit, and the
+    /// shifted re-expansion when the crossing demands it.
+    Model,
+}
+
 /// Plain ascending-index dot product — the one reduction that turns an
 /// adjoint vector and a stimulus into a moment, so the job-at-a-time
 /// and the batch path agree bit for bit.
@@ -242,7 +255,7 @@ pub fn analyze_with(
     out: OutputSelector,
     max_q: usize,
 ) -> Result<ReducedModel, AweError> {
-    let mut models = analyze_batch(sys, &[(b, out)], max_q).map_err(|(_, e)| e)?;
+    let mut models = analyze_batch(sys, &[(b, out, Demand::Model)], max_q).map_err(|(_, e)| e)?;
     Ok(models.pop().expect("one job in, one model out"))
 }
 
@@ -257,17 +270,24 @@ pub fn analyze_with(
 /// and both paths take the same `a_k·b` reduction through the same
 /// (deterministic) factorization.
 ///
+/// Each job carries its [`Demand`]. A [`Demand::DcOnly`] job returns a
+/// pole-free model of its exact `µ0 = a₀·b`, taken through the same
+/// reduction as a fitted job's `µ0`, so its `dc_gain` equals the fitted
+/// model's bit for bit. A probe that only dc-only jobs read runs one
+/// adjoint solve instead of `2q`.
+///
 /// Returns the reduced models in job order.
 ///
 /// # Errors
 ///
 /// The first failing job's index with its error. A singular `G` is
 /// attributed to job 0 — the job-at-a-time path would hit the same
-/// factorization failure on its first analysis.
+/// factorization failure on its first analysis. A dc-only job fails
+/// only with a non-finite `µ0` ([`AweError::NoModel`]).
 #[allow(clippy::type_complexity)]
 pub fn analyze_batch(
     sys: &LinearSystem,
-    jobs: &[(&[f64], OutputSelector)],
+    jobs: &[(&[f64], OutputSelector, Demand)],
     max_q: usize,
 ) -> Result<Vec<ReducedModel>, (usize, AweError)> {
     let mut engine = AweEngine::for_system(sys).map_err(|e| (0, e))?;
@@ -291,7 +311,7 @@ pub fn analyze_batch(
 #[allow(clippy::type_complexity)]
 pub fn analyze_batch_with(
     engine: &mut AweEngine,
-    jobs: &[(&[f64], OutputSelector)],
+    jobs: &[(&[f64], OutputSelector, Demand)],
     max_q: usize,
 ) -> Result<Vec<ReducedModel>, (usize, AweError)> {
     let max_q = max_q.clamp(1, 12);
@@ -319,41 +339,69 @@ pub fn analyze_batch_with(
 fn batch_jobs(
     engine: &mut AweEngine,
     ws: &mut AdjointWs,
-    jobs: &[(&[f64], OutputSelector)],
+    jobs: &[(&[f64], OutputSelector, Demand)],
     max_q: usize,
 ) -> Result<Vec<ReducedModel>, (usize, AweError)> {
-    let mut outs: Vec<OutputSelector> = Vec::with_capacity(jobs.len());
-    let mut models = Vec::with_capacity(jobs.len());
-    for (i, (b, out)) in jobs.iter().enumerate() {
-        let k = match outs.iter().position(|o| *o == *out) {
-            Some(k) => k,
-            None => {
-                outs.push(*out);
-                let k = outs.len() - 1;
-                if ws.pool.len() <= k {
-                    ws.pool.resize_with(k + 1, Vec::new);
-                }
-                adjoint_vectors_into(
-                    &engine.lu,
-                    &engine.ct,
-                    &engine.c_vals,
-                    *out,
-                    2 * max_q,
-                    &mut ws.pool[k],
-                    &mut ws.r,
-                    &mut ws.scratch,
-                );
-                k
-            }
+    // Each distinct probe's chain length, in first-appearance order:
+    // `2q` vectors when any model job reads it, `a₀` alone otherwise.
+    // `a₀` is the chain's first solve either way, so a dc-only job's
+    // `µ0` does not depend on what else shares its probe.
+    let mut probes: Vec<(OutputSelector, usize)> = Vec::with_capacity(jobs.len());
+    for (_, out, demand) in jobs {
+        let count = match demand {
+            Demand::DcOnly => 1,
+            Demand::Model => 2 * max_q,
         };
-        let mu = ws.pool[k].iter().map(|a| dot(a, b)).collect();
-        let model = analyze_from_moments(mu, max_q, |sigma, mu0| {
-            engine.shifted_fit(b, *out, max_q, sigma, mu0)
-        })
+        match probes.iter_mut().find(|(o, _)| o == out) {
+            Some(p) => p.1 = p.1.max(count),
+            None => probes.push((*out, count)),
+        }
+    }
+    if ws.pool.len() < probes.len() {
+        ws.pool.resize_with(probes.len(), Vec::new);
+    }
+    for (vecs, &(out, count)) in ws.pool.iter_mut().zip(&probes) {
+        adjoint_vectors_into(
+            &engine.lu,
+            &engine.ct,
+            &engine.c_vals,
+            out,
+            count,
+            vecs,
+            &mut ws.r,
+            &mut ws.scratch,
+        );
+    }
+    let mut models = Vec::with_capacity(jobs.len());
+    for (i, (b, out, demand)) in jobs.iter().enumerate() {
+        let k = probes
+            .iter()
+            .position(|(o, _)| o == out)
+            .expect("every job's probe has a chain");
+        let model = match demand {
+            Demand::DcOnly => dc_only_model(dot(&ws.pool[k][0], b)),
+            Demand::Model => {
+                let mu = ws.pool[k].iter().map(|a| dot(a, b)).collect();
+                analyze_from_moments(mu, max_q, |sigma, mu0| {
+                    engine.shifted_fit(b, *out, max_q, sigma, mu0)
+                })
+            }
+        }
         .map_err(|e| (i, e))?;
         models.push(model);
     }
     Ok(models)
+}
+
+/// The model of a dc-only job: pole-free, carrying the exact `µ0`. Only
+/// a non-finite `µ0` fails it; no fit runs, so nothing past `µ0` can.
+fn dc_only_model(mu0: f64) -> Result<ReducedModel, AweError> {
+    oblx_telemetry::incr(oblx_telemetry::Counter::AweDcOnly);
+    if !mu0.is_finite() {
+        oblx_telemetry::incr(oblx_telemetry::Counter::AweNoModel);
+        return Err(AweError::NoModel);
+    }
+    Ok(ReducedModel::constant(mu0))
 }
 
 /// The adjoint moment row-vectors of one output probe against a
@@ -961,7 +1009,8 @@ c3 out 0 7.95775p
         for v in &mut b2 {
             *v *= 2.0;
         }
-        let jobs: Vec<(&[f64], OutputSelector)> = vec![(&b1, out), (&b2, out)];
+        let jobs: Vec<(&[f64], OutputSelector, Demand)> =
+            vec![(&b1, out, Demand::Model), (&b2, out, Demand::Model)];
         let batch = analyze_batch(&s, &jobs, 5).unwrap();
         let solo1 = analyze_with(&s, &b1, out, 5).unwrap();
         let solo2 = analyze_with(&s, &b2, out, 5).unwrap();
@@ -973,6 +1022,34 @@ c3 out 0 7.95775p
                 assert_eq!(a.im.to_bits(), b.im.to_bits());
             }
         }
+    }
+
+    /// A dc-only job returns a pole-free model whose `µ0` is the fitted
+    /// model's bit for bit, whether or not a model job shares its probe.
+    #[test]
+    fn dc_only_job_reads_the_fitted_mu0_without_a_fit() {
+        let s = ladder(24);
+        let out = s.output_selector("n23", None).unwrap();
+        let b1 = s.input_vector("vin").unwrap();
+        let b2: Vec<f64> = b1.iter().map(|v| 3.0 * v).collect();
+        let fitted = analyze_with(&s, &b2, out, 5).unwrap();
+        let shared = analyze_batch(
+            &s,
+            &[(&b1, out, Demand::Model), (&b2, out, Demand::DcOnly)],
+            5,
+        )
+        .unwrap();
+        let alone = analyze_batch(&s, &[(&b2, out, Demand::DcOnly)], 5).unwrap();
+        for m in [&shared[1], &alone[0]] {
+            assert_eq!(m.dc_value().to_bits(), fitted.dc_value().to_bits());
+            assert_eq!(m.dc_gain().to_bits(), fitted.dc_gain().to_bits());
+            assert!(m.poles().is_empty());
+            assert_eq!(m.moments().len(), 1);
+        }
+        // Only a non-finite µ0 fails a dc-only job.
+        assert_eq!(dc_only_model(f64::NAN).unwrap_err(), AweError::NoModel);
+        assert_eq!(dc_only_model(f64::INFINITY).unwrap_err(), AweError::NoModel);
+        assert_eq!(dc_only_model(-2.5).unwrap().dc_value(), -2.5);
     }
 
     /// Degenerate-jig regression: a system whose union pattern is

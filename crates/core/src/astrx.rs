@@ -8,10 +8,18 @@
 //! (f) assemble the executable cost function (an interpretable
 //! [`crate::CostEvaluator`]; the equivalent C text is available from
 //! [`crate::emit::emit_c`]).
+//!
+//! Step (f) also decides, once per analysis handle, how much of AWE the
+//! cost function needs ([`CompiledProblem::demand`]): an analysis that
+//! the goals read only through `dc_gain`/`dcv` needs its exact zeroth
+//! moment and no Padé fit.
 
+use oblx_awe::Demand;
 use oblx_devices::{ModelError, ModelLibrary};
 use oblx_mna::{BuildError, SizedCircuit};
-use oblx_netlist::{parse_problem, Analysis, Netlist, ParseError, Problem, SpecKind, VarDecl};
+use oblx_netlist::{
+    parse_problem, Analysis, Expr, Netlist, ParseError, Problem, SpecKind, VarDecl,
+};
 use std::collections::{HashMap, HashSet};
 
 /// A device's required operating region (from `.region` cards).
@@ -136,6 +144,12 @@ pub struct CompiledProblem {
     /// Per-device operating-region requirements (flattened names);
     /// devices absent from the map default to saturation.
     pub region_reqs: HashMap<String, RegionRequirement>,
+    /// What the goals read of each analysis handle: [`Demand::DcOnly`]
+    /// when every reference to it is the first argument of `dc_gain` or
+    /// `dcv` (or there is none), [`Demand::Model`] otherwise. The plan
+    /// path and the cold path both run each analysis at this demand, so
+    /// they stay bit-identical.
+    pub demand: HashMap<String, Demand>,
     /// Table 1 statistics.
     pub stats: CompileStats,
 }
@@ -374,6 +388,7 @@ pub fn compile(problem: Problem) -> Result<CompiledProblem, CompileError> {
         region_reqs.insert(r.device.clone(), req);
     }
 
+    let demand = goal_demand(&problem);
     let mut compiled = CompiledProblem {
         problem,
         lib,
@@ -382,11 +397,54 @@ pub fn compile(problem: Problem) -> Result<CompiledProblem, CompileError> {
         bias_netlist,
         jigs,
         region_reqs,
+        demand,
         stats: stats.clone(),
     };
     stats.c_lines = crate::emit::emit_c(&compiled).lines().count();
     compiled.stats = stats;
     Ok(compiled)
+}
+
+/// The demand pass: marks every analysis handle [`Demand::DcOnly`] when
+/// each reference to it in a goal expression is the first argument of
+/// `dc_gain` or `dcv` — both read only the exact `µ0` — and
+/// [`Demand::Model`] when any reference reads more (`ugf`,
+/// `phase_margin`, `gain_at`, `pole`, `zero`, or the bare identifier).
+/// A handle no goal references is dc-only: nothing reads its poles.
+fn goal_demand(problem: &Problem) -> HashMap<String, Demand> {
+    fn mark(expr: &Expr, demand: &mut HashMap<String, Demand>) {
+        match expr {
+            Expr::Var(h) => {
+                if let Some(d) = demand.get_mut(h) {
+                    *d = Demand::Model;
+                }
+            }
+            Expr::Call(f, args) => {
+                // The handle of `dc_gain(h)`/`dcv(h)` reads µ0 alone;
+                // any further argument is read as usual.
+                let dc_handle = matches!(f.as_str(), "dc_gain" | "dcv")
+                    && matches!(args.first(), Some(Expr::Var(_)));
+                for a in &args[usize::from(dc_handle)..] {
+                    mark(a, demand);
+                }
+            }
+            Expr::Bin(_, a, b) => {
+                mark(a, demand);
+                mark(b, demand);
+            }
+            Expr::Neg(a) => mark(a, demand),
+            Expr::Num(_) | Expr::Path(_) => {}
+        }
+    }
+    let mut demand: HashMap<String, Demand> = problem
+        .jigs
+        .iter()
+        .flat_map(|j| j.analyses.iter().map(|a| (a.name.clone(), Demand::DcOnly)))
+        .collect();
+    for goal in &problem.specs {
+        mark(&goal.expr, &mut demand);
+    }
+    demand
 }
 
 /// Identifies bias-circuit nodes whose voltage is fixed by a chain of
@@ -580,6 +638,91 @@ vc2 in- 0 2.5
             compile_source(&src),
             Err(CompileError::Structure(_))
         ));
+    }
+
+    /// One demand-pass case per row: the goal expressions of a deck with
+    /// analyses `tf`, `tfvdd` and `tfvss`, and the demand of each. A
+    /// handle a row does not name is unreferenced, so dc-only.
+    #[test]
+    fn demand_pass_marks_what_the_goals_read() {
+        use Demand::{DcOnly, Model};
+        let deck = |goals: &str| {
+            let src = DIFFAMP
+                .replace(
+                    ".pz tf v(out+) vin",
+                    ".pz tf v(out+) vin\n.pz tfvdd v(out+) vdd\n.pz tfvss v(out+) vss",
+                )
+                .replace(
+                    ".obj adm 'db(dc_gain(tf))' good=40 bad=5\n\
+                     .spec ugf 'ugf(tf)' good=1Meg bad=10k\n",
+                    goals,
+                );
+            compile_source(&src).expect("compiles").demand
+        };
+        let cases: [(&str, [Demand; 3]); 10] = [
+            (
+                ".spec p 'db(dc_gain(tf))-db(dc_gain(tfvss))' good=60 bad=0\n",
+                [DcOnly, DcOnly, DcOnly],
+            ),
+            (".spec v 'dcv(tf)' good=1 bad=0\n", [DcOnly; 3]),
+            (
+                ".spec u 'ugf(tf)' good=1Meg bad=10k\n",
+                [Model, DcOnly, DcOnly],
+            ),
+            (
+                ".spec pm 'phase_margin(tf)' good=60 bad=30\n",
+                [Model, DcOnly, DcOnly],
+            ),
+            (
+                ".spec g 'gain_at(tf, 1k)' good=10 bad=1\n",
+                [Model, DcOnly, DcOnly],
+            ),
+            (
+                ".spec p 'pole(tf, 1)' good=1k bad=1\n",
+                [Model, DcOnly, DcOnly],
+            ),
+            (
+                ".spec z 'zero(tf, 1)' good=1k bad=1\n",
+                [Model, DcOnly, DcOnly],
+            ),
+            (
+                ".spec m 'min(dc_gain(tf), ugf(tf))' good=1 bad=0\n",
+                [Model, DcOnly, DcOnly],
+            ),
+            (".spec b 'tf' good=1 bad=0\n", [Model, DcOnly, DcOnly]),
+            (
+                ".spec n 'dc_gain(tfvdd)*ugf(tfvss)' good=1 bad=0\n",
+                [DcOnly, DcOnly, Model],
+            ),
+        ];
+        for (goals, [tf, tfvdd, tfvss]) in cases {
+            let d = deck(goals);
+            assert_eq!(
+                (d["tf"], d["tfvdd"], d["tfvss"]),
+                (tf, tfvdd, tfvss),
+                "{goals}"
+            );
+        }
+    }
+
+    /// In every benchmark deck the supply-rejection analyses are read
+    /// only through `dc_gain`, and the gain analysis through more.
+    #[test]
+    fn bench_decks_fit_only_the_gain_analysis() {
+        for b in bench_suite::all() {
+            let c = compile(b.problem().expect("parses")).expect("compiles");
+            assert_eq!(c.demand["tf"], Demand::Model, "{}", b.name);
+            for h in ["tfvdd", "tfvss"] {
+                if let Some(d) = c.demand.get(h) {
+                    assert_eq!(*d, Demand::DcOnly, "{}: {h}", b.name);
+                }
+            }
+            assert!(
+                c.demand.contains_key("tfvdd") || c.demand.contains_key("tfvss"),
+                "{}: no supply-rejection analysis",
+                b.name
+            );
+        }
     }
 
     #[test]

@@ -9,7 +9,9 @@
 //!    relaxed-dc formulation),
 //! 3. sum Kirchhoff-law residuals at every free node → `C^dc`,
 //! 4. stamp each jig's small-signal circuit from those device models
-//!    and run AWE per `.pz` card,
+//!    and run AWE per `.pz` card: a fitted model where a goal reads more
+//!    than the dc value, the exact `µ0` alone where none does
+//!    ([`CompiledProblem::demand`]),
 //! 5. evaluate every `.obj`/`.spec` expression against the AWE models,
 //!    device quantities, and built-in `power()`/`area()` measures,
 //!    normalizing by the goal's `good`/`bad` values → `C^obj`, `C^perf`,
@@ -18,9 +20,9 @@
 use crate::astrx::{determined_voltages, CompiledProblem, RegionRequirement};
 use crate::plan::{score_slot, BiasPlan, EvalPlan, Slot};
 use crate::weights::AdaptiveWeights;
-use oblx_awe::ReducedModel;
+use oblx_awe::{Demand, ReducedModel};
 use oblx_devices::{BjtOp, DiodeOp, MosOp, Region};
-use oblx_mna::{LinElement, LinearSystem, MosInstance, SizedCircuit};
+use oblx_mna::{LinElement, LinearSystem, MosInstance, OutputSelector, SizedCircuit};
 use oblx_netlist::{builtin_call, EvalContext, EvalError, Expr, Goal, SpecKind};
 use std::collections::HashMap;
 use std::error::Error;
@@ -549,12 +551,28 @@ impl<'a> CostEvaluator<'a> {
                 })
                 .collect::<Result<_, _>>()?;
             let sys = LinearSystem::from_device_ops(&ckt, &jig_mos, &jig_bjt, &jig_diode);
+            // Each analysis at the demand the plan path also reads; one
+            // factorization serves the jig, as on the plan path.
+            let mut stimuli = Vec::with_capacity(jig.analyses.len());
             for a in &jig.analyses {
                 let out = sys
                     .output_selector(&a.out_p, a.out_m.as_deref())
                     .ok_or_else(|| EvalFailure::Awe(format!("bad probe in `{}`", a.name)))?;
-                let model = oblx_awe::analyze(&sys, &a.source, out, self.awe_order)
-                    .map_err(|e| EvalFailure::Awe(format!("{}: {e}", a.name)))?;
+                let b = sys.input_vector(&a.source).ok_or_else(|| {
+                    EvalFailure::Awe(format!(
+                        "{}: unknown stimulus source `{}`",
+                        a.name, a.source
+                    ))
+                })?;
+                stimuli.push((b, out, compiled.demand[&a.name]));
+            }
+            let jobs: Vec<(&[f64], OutputSelector, Demand)> = stimuli
+                .iter()
+                .map(|(b, out, d)| (b.as_slice(), *out, *d))
+                .collect();
+            let fitted = oblx_awe::analyze_batch(&sys, &jobs, self.awe_order)
+                .map_err(|(i, e)| EvalFailure::Awe(format!("{}: {e}", jig.analyses[i].name)))?;
+            for (a, model) in jig.analyses.iter().zip(fitted) {
                 models.insert(a.name.clone(), model);
             }
         }

@@ -35,6 +35,7 @@ use oblx_anneal::{
 };
 use std::io::Write as _;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version written into and required of checkpoint files.
 pub const CHECKPOINT_VERSION: i64 = 1;
@@ -589,25 +590,70 @@ pub fn job_from_json(text: &str) -> Result<JobFile, SerError> {
 /// temporary sibling first and are renamed into place, so a reader (or
 /// a crash) never observes a torn file.
 ///
+/// Every call writes through a temporary file of its own, created
+/// exclusively: two writers of one path (a seed re-run after its lease
+/// was reopened, say) can never rename each other's partial write into
+/// place. A failed write removes its temporary file.
+///
 /// # Errors
 ///
 /// Any I/O error from the write or rename.
 pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    let tmp = tmp_sibling(path);
-    {
-        let mut f = std::fs::File::create(&tmp)?;
-        f.write_all(contents.as_bytes())?;
-        f.sync_all()?;
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let (tmp, mut f) = loop {
+        let tmp = tmp_sibling(path, NEXT.fetch_add(1, Ordering::Relaxed));
+        match std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&tmp)
+        {
+            Ok(f) => break (tmp, f),
+            // Left behind by an earlier process with this pid.
+            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
+        }
+    };
+    let written = f.write_all(contents.as_bytes()).and_then(|()| f.sync_all());
+    drop(f);
+    let result = written.and_then(|()| std::fs::rename(&tmp, path));
+    if result.is_err() {
+        let _ = std::fs::remove_file(&tmp);
     }
-    std::fs::rename(&tmp, path)
+    result
 }
 
-fn tmp_sibling(path: &Path) -> PathBuf {
+/// Removes the temporary siblings of `path` that [`write_atomic`]
+/// writers left behind when they died between their write and their
+/// rename. A live writer's temporary file goes too, failing its rename,
+/// so call it only where every live writer of `path` writes the same
+/// bytes.
+pub fn remove_stale_tmp_siblings(path: &Path) {
+    let (Some(dir), Some(name)) = (path.parent(), path.file_name().and_then(|n| n.to_str())) else {
+        return;
+    };
+    let prefix = format!("{name}.");
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let stale = entry
+            .file_name()
+            .to_str()
+            .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".tmp"));
+        if stale {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+}
+
+/// The `n`-th temporary sibling of `path` in this process:
+/// `<name>.<pid>.<n>.tmp`.
+fn tmp_sibling(path: &Path, n: u64) -> PathBuf {
     let mut name = path
         .file_name()
         .map(|n| n.to_string_lossy().into_owned())
         .unwrap_or_else(|| "file".to_string());
-    name.push_str(".tmp");
+    name.push_str(&format!(".{}.{n}.tmp", std::process::id()));
     path.with_file_name(name)
 }
 
@@ -825,6 +871,7 @@ pub fn run_seed_resumable(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::AtomicBool;
 
     fn request() -> JobRequest {
         JobRequest {
@@ -892,8 +939,59 @@ mod tests {
         write_atomic(&path, "second").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
         // A stray tmp file from a crashed writer is not the real file.
-        std::fs::write(tmp_sibling(&path), "garbage").unwrap();
+        std::fs::write(tmp_sibling(&path, 0), "garbage").unwrap();
         assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
+        // Removing stale siblings takes it and nothing else.
+        std::fs::write(dir.join("ck.json.other"), "kept").unwrap();
+        remove_stale_tmp_siblings(&path);
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["ck.json", "ck.json.other"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two threads rewrite one path while a third reads it: every read
+    /// sees one writer's complete contents, and every write succeeds.
+    #[test]
+    fn concurrent_atomic_writers_never_tear_a_file() {
+        let dir = std::env::temp_dir().join(format!("oblx-jobs-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seed_1.done.json");
+        let bodies = ["a".repeat(64 * 1024), "b".repeat(64 * 1024)];
+        write_atomic(&path, &bodies[0]).unwrap();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = bodies
+                .iter()
+                .map(|body| {
+                    let path = &path;
+                    scope.spawn(move || {
+                        for _ in 0..100 {
+                            write_atomic(path, body).expect("every write lands");
+                        }
+                    })
+                })
+                .collect();
+            let reader = scope.spawn(|| {
+                let mut reads = 0;
+                while !done.load(Ordering::Relaxed) {
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    assert!(bodies.contains(&text), "torn read of {} bytes", text.len());
+                    reads += 1;
+                }
+                reads
+            });
+            // Stop the reader before reporting a writer's failure.
+            let writes: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+            done.store(true, Ordering::Relaxed);
+            let reads = reader.join();
+            assert!(writes.into_iter().all(|w| w.is_ok()), "a write failed");
+            assert!(reads.expect("no torn read") > 0);
+        });
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -17,7 +17,8 @@
 //!   [`SizedCircuit::build`] does, so value clamps, validation
 //!   messages, and first-error order are reproduced bit for bit;
 //! * analysis stimulus vectors and output selectors are resolved to
-//!   index form up front.
+//!   index form up front, each with the demand that
+//!   [`crate::astrx::compile`] decided for its handle.
 //!
 //! A [`Slot`] is one materialized configuration: the bound circuits,
 //! device operating points, KCL residual, and AWE models for a specific
@@ -36,7 +37,7 @@
 use crate::astrx::{determined_voltages, CompiledProblem};
 use crate::cost::{area_of, power_of, score_with, CostBreakdown, EvalFailure, MeasureSource};
 use crate::weights::AdaptiveWeights;
-use oblx_awe::{AweEngine, ReducedModel};
+use oblx_awe::{AweEngine, Demand, ReducedModel};
 use oblx_devices::{BjtOp, DiodeOp, MosOp};
 use oblx_linalg::Mat;
 use oblx_mna::dc::linear_stamp_into;
@@ -196,6 +197,8 @@ struct AnalysisPlan {
     /// Unit-stimulus input vector.
     b: Vec<f64>,
     out: OutputSelector,
+    /// What the goals read of it ([`CompiledProblem::demand`]).
+    demand: Demand,
 }
 
 /// One precompiled jig: bindings, device back-references into the bias
@@ -514,6 +517,7 @@ impl EvalPlan {
                     flat: analysis_names.len(),
                     b,
                     out,
+                    demand: compiled.demand[&a.name],
                 });
                 analysis_names.push(a.name.clone());
             }
@@ -1053,12 +1057,12 @@ impl JigSlot {
             g_vals,
             c_vals,
         );
-        // One factorization serves every analysis of the jig; each
-        // fitted model is bit-identical to a standalone `analyze_with`.
-        let jobs: Vec<(&[f64], OutputSelector)> = jp
+        // One factorization serves every analysis of the jig, each at its
+        // demand; every model is bit-identical to the cold path's.
+        let jobs: Vec<(&[f64], OutputSelector, Demand)> = jp
             .analyses
             .iter()
-            .map(|a| (a.b.as_slice(), a.out))
+            .map(|a| (a.b.as_slice(), a.out, a.demand))
             .collect();
         match oblx_awe::analyze_batch_with(&mut self.engine, &jobs, awe_order) {
             Ok(fitted) => {
@@ -1208,5 +1212,20 @@ mod tests {
         assert_eq!(plan.analysis_names.len(), 3, "three analyses expected");
         assert_eq!(plan.jigs.len(), 1, "structurally identical jigs merged");
         assert_eq!(plan.jigs[0].analyses.len(), 3);
+    }
+
+    /// The shared-probe test deck: its gain and supply-rejection jigs
+    /// merge, so one probe serves a fitted analysis and a dc-only one.
+    #[test]
+    fn psrr_test_deck_shares_one_probe_across_demands() {
+        let compiled = crate::astrx::compile_source(include_str!("testdata/diffamp_psrr.ox"))
+            .expect("compiles");
+        let bias = BiasPlan::build(&compiled).expect("bias plan builds");
+        let plan = EvalPlan::build(&compiled, &bias, AWE_ORDER).expect("plannable");
+        assert_eq!(plan.jigs.len(), 1, "structurally identical jigs merged");
+        let a = &plan.jigs[0].analyses;
+        assert_eq!(a.len(), 2);
+        assert_eq!(a[0].out, a[1].out, "one probe");
+        assert_eq!((a[0].demand, a[1].demand), (Demand::Model, Demand::DcOnly));
     }
 }

@@ -177,12 +177,13 @@ pub fn render_metrics(data: &Value) -> String {
     );
     let _ = writeln!(
         out,
-        "awe: {} fits ({} no-model, {} unstable, {} dropped poles)   \
+        "awe: {} fits ({} no-model, {} unstable, {} dropped poles), {} dc-only   \
          lu: {} factors, {} ill-conditioned",
         counter("awe_fit"),
         counter("awe_no_model"),
         counter("awe_unstable"),
         counter("awe_dropped_poles"),
+        counter("awe_dc_only"),
         counter("lu_factor"),
         counter("lu_ill_conditioned"),
     );

@@ -621,15 +621,27 @@ fn all_seeds_done(spool: &Spool, file: &JobFile) -> bool {
 /// exactly [`astrx_oblx::oblx::synthesize_multi`]'s winner rule: lowest
 /// frozen-final cost, NaN last, ties to the earlier seed in the list.
 /// The caller must hold the finalize claim (the parked job spec).
+///
+/// A done record that exists but does not read back fails the job, with
+/// an error naming its seed: a result never leaves out a requested run.
+/// Retrying would not help, because the finalize claim is already taken
+/// and the record will not change.
 fn finalize_from(shared: &Shared<'_>, file: &JobFile) {
     let spool = shared.spool;
     let ckdir = spool.ckpt_dir(&file.id);
-    let records: Vec<SeedRecord> = file
+    let (records, error) = match file
         .request
         .seeds
         .iter()
-        .filter_map(|&s| read_seed_done(&ckdir, s))
-        .collect();
+        .map(|&s| read_seed_done(&ckdir, s).ok_or(s))
+        .collect::<Result<Vec<SeedRecord>, u64>>()
+    {
+        Ok(records) => (records, "every seed failed".to_string()),
+        Err(seed) => (
+            Vec::new(),
+            format!("seed {seed}: done record is unreadable"),
+        ),
+    };
     let mut best: Option<(f64, usize)> = None;
     for (i, rec) in records.iter().enumerate() {
         if rec.failed {
@@ -703,7 +715,7 @@ fn finalize_from(shared: &Shared<'_>, file: &JobFile) {
             status = "failed";
             record = record
                 .field("status", status)
-                .field("error", "every seed failed");
+                .field("error", error.as_str());
         }
     }
     let record = record.field("runs", Value::Arr(runs)).build();
@@ -1433,6 +1445,47 @@ mod tests {
         );
         assert_eq!(stats.jobs_failed, 1, "its only seed's record is a failure");
         assert!(spool_b.running().is_empty());
+        std::fs::remove_dir_all(spool_b.root()).unwrap();
+    }
+
+    #[test]
+    fn unreadable_done_record_fails_the_job_naming_its_seed() {
+        // Seed 3 finishes with a good record; seed 4's record exists but
+        // is torn. Finalizing must not report the job done with seed 3's
+        // run alone.
+        let spool_b = temp_spool("torn-done").with_host("b");
+        let job = spool_b.submit(small_job("amp", vec![3, 4])).unwrap();
+        let claimed = spool_b.claim_next().unwrap();
+        spool_b.shard_job(&claimed).unwrap();
+        let spool_a = Spool::open(spool_b.root()).unwrap().with_host("a");
+        let ckdir = spool_a.ckpt_dir(&job.id);
+        let e3 = claim_and_record_seed(&spool_a, &job.id, 3);
+        let good = SeedRecord {
+            fixed_cost: 1.5,
+            best_cost: 1.5,
+            kcl_max: 1e-12,
+            state: OblxState {
+                user: vec![1.0],
+                nodes: vec![2.0],
+            },
+            failed: false,
+            ..failed_seed_record(3)
+        };
+        jobs::write_atomic(&seed_done_path(&ckdir, 3), &seed_record_to_json(&good)).unwrap();
+        let e4 = claim_and_record_seed(&spool_a, &job.id, 4);
+        std::fs::write(seed_done_path(&ckdir, 4), "{\"format\":\"oblx-seed-res").unwrap();
+        spool_a.finish_seed(&e3);
+        spool_a.finish_seed(&e4);
+
+        let stats = drain_within(&spool_b, &drain_opts(1), 30);
+        let record = spool_b.done(&job.id).expect("the job is finalized");
+        assert_eq!(record.get("status").unwrap().as_str(), Some("failed"));
+        assert_eq!(
+            record.get("error").unwrap().as_str(),
+            Some("seed 4: done record is unreadable")
+        );
+        assert_eq!(stats.jobs_failed, 1);
+        assert_eq!(stats.jobs_completed, 0);
         std::fs::remove_dir_all(spool_b.root()).unwrap();
     }
 

@@ -598,6 +598,11 @@ impl Spool {
         };
         let mut out = Vec::new();
         for entry in entries.flatten() {
+            // Only `<host>.json`: a heartbeat being written sits in a
+            // temporary sibling with the same contents until its rename.
+            if entry.path().extension().and_then(|e| e.to_str()) != Some("json") {
+                continue;
+            }
             let Ok(text) = std::fs::read_to_string(entry.path()) else {
                 continue;
             };
@@ -749,6 +754,10 @@ impl Spool {
     pub fn complete(&self, id: &str, record: &Value) -> io::Result<()> {
         let path = self.done_dir().join(format!("{id}.json"));
         jobs::write_atomic(&path, &record.to_json())?;
+        // A dead finalizer's temporary file would stay forever. A live
+        // one (the reaper may redo a finalize) writes the same bytes, so
+        // failing its rename loses nothing.
+        jobs::remove_stale_tmp_siblings(&path);
         let _ = std::fs::remove_file(self.running_dir().join(format!("{id}.json")));
         Ok(())
     }
@@ -1175,6 +1184,38 @@ mod tests {
         ));
         let _ = std::fs::remove_dir_all(&root);
         Spool::open(root).unwrap()
+    }
+
+    #[test]
+    fn a_heartbeat_being_written_is_not_a_second_host() {
+        let spool = temp_spool("hosts").with_host("a");
+        spool.write_host_heartbeat(1, 1);
+        // A writer between its temporary file's write and its rename.
+        let beat = spool.hosts_dir().join("a.json");
+        std::fs::copy(&beat, spool.hosts_dir().join("a.json.4242.0.tmp")).unwrap();
+        let hosts = spool.hosts();
+        assert_eq!(hosts.len(), 1, "{hosts:?}");
+        assert_eq!(hosts[0].host, "a");
+        std::fs::remove_dir_all(spool.root()).unwrap();
+    }
+
+    #[test]
+    fn completing_a_job_removes_a_dead_finalizers_temp_file() {
+        let spool = temp_spool("stale-done");
+        let job = spool.submit(req("amp", 0)).unwrap();
+        std::fs::create_dir_all(spool.done_dir()).unwrap();
+        // A finalizer killed between its write and its rename.
+        let stale = spool.done_dir().join(format!("{}.json.4242.0.tmp", job.id));
+        std::fs::write(&stale, "{\"format\":\"oblx-res").unwrap();
+        let record = ObjBuilder::new().field("status", "ok").build();
+        spool.complete(&job.id, &record).unwrap();
+        let left: Vec<_> = std::fs::read_dir(spool.done_dir())
+            .unwrap()
+            .flatten()
+            .collect();
+        assert_eq!(left.len(), 1, "only the record stays: {left:?}");
+        assert!(spool.done(&job.id).is_some());
+        std::fs::remove_dir_all(spool.root()).unwrap();
     }
 
     #[test]

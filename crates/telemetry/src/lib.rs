@@ -74,7 +74,8 @@ static ENABLED: AtomicBool = AtomicBool::new(false);
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Counter {
-    /// AWE moment fits attempted (`fit_model` calls).
+    /// AWE moment fits attempted (`fit_model` calls): model analyses
+    /// only, with each shifted re-expansion's fit counted too.
     AweFit,
     /// AWE fits that fell back to the forced one-pole model.
     AweForcedOnePole,
@@ -90,6 +91,9 @@ pub enum Counter {
     AweShiftApplied,
     /// Shifted re-expansions rejected by the arbitration check.
     AweShiftRejected,
+    /// AWE analyses that the goals read only through `dc_gain`/`dcv`,
+    /// answered from the exact `µ0` with no fit.
+    AweDcOnly,
     /// Successful LU factorizations observed. The registry cell counts
     /// only those whose pivot ratio the pivot histogram cannot bin;
     /// snapshots add the histogram's samples, so a record costs one
@@ -154,6 +158,7 @@ const COUNTER_NAMES: [&str; Counter::Count as usize] = [
     "awe_dropped_poles",
     "awe_shift_applied",
     "awe_shift_rejected",
+    "awe_dc_only",
     "lu_factor",
     "lu_ill_conditioned",
     "eval_cold",
@@ -825,7 +830,7 @@ impl Snapshot {
         let _ = writeln!(
             out,
             "awe: {} fits ({} forced 1-pole, {} constant, {} no-model, {} unstable, \
-             {} dropped poles, shift {}+/{}-)",
+             {} dropped poles, shift {}+/{}-), {} dc-only",
             self.counter("awe_fit"),
             self.counter("awe_forced_one_pole"),
             self.counter("awe_constant"),
@@ -834,6 +839,7 @@ impl Snapshot {
             self.counter("awe_dropped_poles"),
             self.counter("awe_shift_applied"),
             self.counter("awe_shift_rejected"),
+            self.counter("awe_dc_only"),
         );
         let orders: Vec<String> = self
             .fit_orders
@@ -1011,9 +1017,15 @@ mod tests {
         record_orders_tried(false, 2);
         record_orders_tried(false, 3);
         record_orders_tried(true, 4);
+        incr(Counter::AweFit);
+        add(Counter::AweDcOnly, 5);
         let snap = Snapshot::capture();
         set_enabled(false);
         let text = snap.render();
+        assert!(
+            text.contains("awe: 1 fits (") && text.contains("shift 0+/0-), 5 dc-only\n"),
+            "{text}"
+        );
         assert!(
             text.contains("awe orders tried: 2.50 per base fit, 4.00 per shifted re-expansion"),
             "{text}"
@@ -1023,6 +1035,7 @@ mod tests {
             "{text}"
         );
         let json = snap.to_json();
+        assert!(json.contains("\"awe_dc_only\":5"), "{json}");
         assert!(
             json.contains("\"awe_base_orders_tried\":[0,0,1,1,0,"),
             "{json}"

@@ -8,6 +8,10 @@
 //! spec was "met", and the annealer happily kept an unstable circuit.
 //! Post-fix, `analyze` rejects the all-RHP model with
 //! `AweError::NoModel`, which the cost layer maps to the failure cliff.
+//!
+//! The rule covers analyses read through a pole-dependent measure. Read
+//! only through `dc_gain`, the same jig needs no fit: its exact µ0
+//! scores.
 
 use astrx_oblx::cost::{CostEvaluator, EvalFailure, FAILURE_COST};
 use astrx_oblx::AdaptiveWeights;
@@ -78,4 +82,35 @@ fn stable_mirror_of_the_jig_still_evaluates() {
     assert!(!b.failed);
     // ugf ≈ 100·1000/(2π·R) Hz — comfortably above the 100 Hz spec.
     assert!(b.measured[0] > 1.0e3, "ugf = {}", b.measured[0]);
+}
+
+#[test]
+fn all_rhp_jig_read_only_through_dc_gain_scores_its_exact_mu0() {
+    // dc gain −100 (|µ0| = 100), whatever the pole's half-plane: no fit
+    // runs, so the all-RHP rule has nothing to reject.
+    let deck = RHP_DECK.replace(
+        ".spec ugf 'ugf(tf)' good=100 bad=1",
+        ".spec gain 'dc_gain(tf)' good=100 bad=1\n.spec sign 'dcv(tf)' good=-100 bad=0",
+    );
+    let c = astrx_oblx::astrx::compile_source(&deck).expect("deck compiles");
+    assert_eq!(c.demand["tf"], oblx_awe::Demand::DcOnly);
+    let mut ev = CostEvaluator::new(&c);
+    let user = c.initial_user_values();
+    let nodes = vec![0.0; c.node_vars.len()];
+    let w = AdaptiveWeights::new(&c);
+
+    let b = ev
+        .try_evaluate(&user, &nodes, &w)
+        .expect("the exact dc gain evaluates");
+    assert!(!b.failed);
+    assert!(
+        (b.measured[0] - 100.0).abs() < 1e-9 * 100.0,
+        "dc_gain = {}",
+        b.measured[0]
+    );
+    assert!(
+        (b.measured[1] + 100.0).abs() < 1e-9 * 100.0,
+        "dcv = {}",
+        b.measured[1]
+    );
 }

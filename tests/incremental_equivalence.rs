@@ -6,8 +6,10 @@
 //! component, within 1e-12 relative.
 //!
 //! The deck is an input too: the diff amp alone puts MOS devices on the
-//! plan path, and its variant with a junction diode in the tail bias
-//! (sized by `W`, so geometry moves dirty it) adds a diode.
+//! plan path, its variant with a junction diode in the tail bias (sized
+//! by `W`, so geometry moves dirty it) adds a diode, and its variant with
+//! a supply-rejection jig puts a fitted analysis and a dc-only one on
+//! one probe.
 
 use astrx_oblx::cost::{CostBreakdown, CostEvaluator};
 use astrx_oblx::{AdaptiveWeights, CompiledProblem};
@@ -19,6 +21,7 @@ fn compiled(deck: &str) -> CompiledProblem {
     let source = match deck {
         "diffamp.ox" => include_str!("../crates/core/src/testdata/diffamp.ox"),
         "diffamp_diode.ox" => include_str!("../crates/core/src/testdata/diffamp_diode.ox"),
+        "diffamp_psrr.ox" => include_str!("../crates/core/src/testdata/diffamp_psrr.ox"),
         _ => unreachable!("unknown deck {deck}"),
     };
     astrx_oblx::astrx::compile_source(source).expect("deck compiles")
@@ -57,7 +60,7 @@ fn check_equal(plan: &CostBreakdown, full: &CostBreakdown) -> Result<(), TestCas
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(32))]
+    #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Replay a pseudo-random move sequence through one persistent
     /// evaluator (exercising its incremental, plan-full and cached
@@ -65,7 +68,7 @@ proptest! {
     /// full-rebuild path of a second evaluator.
     #[test]
     fn prop_incremental_matches_full_after_move_sequence(
-        deck in proptest::sample::select(vec!["diffamp.ox", "diffamp_diode.ox"]),
+        deck in proptest::sample::select(vec!["diffamp.ox", "diffamp_diode.ox", "diffamp_psrr.ox"]),
         seed in 0u64..10_000,
     ) {
         let c = compiled(deck);
