@@ -448,8 +448,8 @@ fn job_events(
 }
 
 /// `GET /v1/cluster` — who is draining this spool right now: one entry
-/// per host heartbeat, each with its pid, beat counter, and the live
-/// worker snapshot, plus the spool-wide lease count. This is the
+/// per host file, each with its pid, beat counter, and the live worker
+/// rows, plus the spool-wide lease count. This is the
 /// API-side view of `oblxd status` on a multi-host spool.
 fn cluster(ctx: &Ctx, stream: &mut TcpStream, ka: bool) -> io::Result<(u16, bool)> {
     let workers = oblx_runtime::events::read_workers(&ctx.spool);

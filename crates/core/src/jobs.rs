@@ -599,6 +599,20 @@ pub fn job_from_json(text: &str) -> Result<JobFile, SerError> {
 ///
 /// Any I/O error from the write or rename.
 pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
+    let tmp = write_tmp(path, contents)?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
+/// The first half of [`write_atomic`]: writes `contents` durably into a
+/// new temporary sibling of `path`, created exclusively, and returns its
+/// path, to be renamed or linked into place. A failed write removes it.
+///
+/// # Errors
+///
+/// Any I/O error from the create or the write.
+pub fn write_tmp(path: &Path, contents: &str) -> std::io::Result<PathBuf> {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let (tmp, mut f) = loop {
         let tmp = tmp_sibling(path, NEXT.fetch_add(1, Ordering::Relaxed));
@@ -615,18 +629,16 @@ pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
     };
     let written = f.write_all(contents.as_bytes()).and_then(|()| f.sync_all());
     drop(f);
-    let result = written.and_then(|()| std::fs::rename(&tmp, path));
-    if result.is_err() {
+    written.map(|()| tmp.clone()).inspect_err(|_| {
         let _ = std::fs::remove_file(&tmp);
-    }
-    result
+    })
 }
 
-/// Removes the temporary siblings of `path` that [`write_atomic`]
-/// writers left behind when they died between their write and their
-/// rename. A live writer's temporary file goes too, failing its rename,
-/// so call it only where every live writer of `path` writes the same
-/// bytes.
+/// Removes the temporary siblings of `path` that [`write_tmp`] writers
+/// left behind when they died before their rename or link. A live
+/// writer's temporary file goes too, failing its rename or link, so
+/// call it only where that loses nothing: every live writer of `path`
+/// writes the same bytes, or retries.
 pub fn remove_stale_tmp_siblings(path: &Path) {
     let (Some(dir), Some(name)) = (path.parent(), path.file_name().and_then(|n| n.to_str())) else {
         return;

@@ -19,8 +19,8 @@
 //! needs a distinct `--host-id` (defaults to the hostname), claims
 //! individual seeds, and steals idle peers' work. Every daemon starts
 //! with `run`: startup recovery touches only work leased to its own
-//! host id, and a dead peer's work is the cluster reaper's, on
-//! lease-timeout evidence.
+//! host id, and a dead peer's work is the cluster reaper's once that
+//! peer's beat has stopped for `--lease-timeout`.
 
 use astrx_oblx::jobs::JobRequest;
 use astrx_oblx::{bench_suite, SynthesisOptions};

@@ -259,9 +259,9 @@ pub struct JobProgress {
     pub moves_budget: usize,
 }
 
-/// One worker's live state, from a pool's `workers.<host>.json`
-/// snapshot (every host sharing the spool contributes one file).
-#[derive(Debug, Clone)]
+/// One worker's live state, from its pool's host file
+/// (`hosts/<host>.json`; every host sharing the spool writes one).
+#[derive(Debug, Clone, PartialEq)]
 pub struct WorkerState {
     /// Host the worker belongs to.
     pub host: String,
@@ -290,9 +290,9 @@ pub struct Status {
     pub done_failed: usize,
     /// Jobs retired into the `cancelled` terminal state.
     pub cancelled: usize,
-    /// Live worker states, across every host that wrote a snapshot.
+    /// Live worker states, across every host that wrote a host file.
     pub workers: Vec<WorkerState>,
-    /// Host heartbeats (host id, worker count, beat counter).
+    /// Host files (host id, worker count, beat counter).
     pub hosts: Vec<crate::spool::HostInfo>,
 }
 
@@ -302,7 +302,7 @@ impl Status {
         self.queued.len()
     }
 
-    /// Busy worker fraction in `[0, 1]`, or `None` without a snapshot.
+    /// Busy worker fraction in `[0, 1]`, or `None` without worker rows.
     pub fn utilization(&self) -> Option<f64> {
         if self.workers.is_empty() {
             return None;
@@ -463,42 +463,14 @@ pub fn status(spool: &Spool) -> Status {
     }
 }
 
-/// Reads every host's worker snapshot (`workers.<host>.json`) from the
-/// spool. Pub because the HTTP edge's cluster view reuses it.
+/// Every host's worker rows, read from the host files. Pub because
+/// the HTTP edge's cluster view reuses it.
 pub fn read_workers(spool: &Spool) -> Vec<WorkerState> {
-    let mut out = Vec::new();
-    for path in spool.all_workers_paths() {
-        let Ok(text) = std::fs::read_to_string(&path) else {
-            continue;
-        };
-        let Ok(doc) = json::parse(&text) else {
-            continue;
-        };
-        let (Some(host), Some(rows)) = (
-            doc.get("host").and_then(Value::as_str),
-            doc.get("workers").and_then(Value::as_arr),
-        ) else {
-            continue;
-        };
-        out.extend(rows.iter().filter_map(|row| {
-            Some(WorkerState {
-                host: host.to_string(),
-                worker: usize::try_from(row.get("worker")?.as_int()?).ok()?,
-                busy: row.get("busy")?.as_bool()?,
-                job: row.get("job").and_then(Value::as_str).map(str::to_string),
-                seed: row
-                    .get("seed")
-                    .and_then(Value::as_str)
-                    .and_then(|s| u64::from_str_radix(s, 16).ok()),
-                tasks_done: row
-                    .get("tasks_done")
-                    .and_then(Value::as_int)
-                    .and_then(|i| usize::try_from(i).ok())
-                    .unwrap_or(0),
-            })
-        }));
-    }
-    out
+    spool
+        .hosts()
+        .into_iter()
+        .flat_map(|h| h.worker_state)
+        .collect()
 }
 
 #[cfg(test)]

@@ -23,8 +23,8 @@
 //!   result files.
 //! * [`events`] — a JSONL event log per job (`submitted`, `started`,
 //!   `seed_started`, `checkpoint`, `seed_done`, `done`, `failed`,
-//!   `recovered`, `seed_recovered`), plus the status aggregation behind
-//!   `oblxd status`.
+//!   `recovered`, and `seed_`/`job_` + `recovered`/`reaped` for work
+//!   taken over), plus the status aggregation behind `oblxd status`.
 //!
 //! The binary front end lives in `src/bin/oblxd.rs`:
 //!
@@ -34,6 +34,8 @@
 //! oblxd status --dir SPOOL
 //! ```
 
+#[cfg(test)]
+mod crash_sweep;
 pub mod events;
 pub mod pool;
 pub mod signal;

@@ -12,53 +12,59 @@
 //! ckpt/<id>/                 per-seed checkpoints and seed-done records
 //! seeds/<id>/s<seed>.*.json  per-seed work entries (open = stealable,
 //!                            run = claimed) — the cross-host work unit
-//! leases/<stem>.lease        liveness leases (job and per-seed)
-//! hosts/<host>.json          per-daemon heartbeat snapshots
+//! leases/<stem>.lease        claim leases (job and per-seed)
+//! hosts/<host>.json          per-daemon beat and worker rows
 //! events/<id>.jsonl          per-job event logs (see crate::events)
-//! workers.<host>.json        live worker-state snapshot (per daemon)
 //! seq                        submission sequence counter
 //! ```
 //!
 //! Every transition is a single atomic `rename`, so a crash at any
 //! instant leaves each job in exactly one well-defined place — the
-//! protocol needs nothing beyond atomic rename and atomic
-//! write-then-rename, so several daemons can share one spool over
-//! NFS-style storage.
+//! protocol needs nothing beyond atomic rename, atomic
+//! write-then-rename and an exclusive `link`, so several daemons can
+//! share one spool over NFS-style storage. Every mutation goes through
+//! one private choke point, which a test-only seam can crash at any
+//! numbered step (see `crash_sweep`).
 //!
 //! # Cluster protocol
 //!
 //! Multiple `oblxd` daemons (each with a unique `--host-id`) cooperate
 //! through three mechanisms, all file-based:
 //!
-//! * **Leased claims.** Claiming a job or a per-seed entry writes a
-//!   lease record (owner host, pid, heartbeat counter, fencing token).
-//!   Seed leases are refreshed at every checkpoint; a holder whose
-//!   refresh discovers a foreign owner or a higher fence has been
-//!   fenced out and abandons the work item. Expiry is *observation*
-//!   based — a peer reaps a lease only after watching its `(owner,
-//!   beat)` pair sit unchanged for the lease timeout on the peer's own
-//!   monotonic clock — so no cross-host clock sync is required.
+//! * **A lease before every claim.** A claimer creates the lease of a
+//!   job or per-seed entry exclusively (owner host, pid, fencing token)
+//!   before its claim rename, and every path retires a claimed entry
+//!   before its lease, so no claimed entry ever exists without one. A
+//!   holder that finds a foreign owner or another fence at a checkpoint
+//!   has been fenced out and abandons the work item.
+//! * **Liveness per host.** Each pool beats `hosts/<host>.json` on its
+//!   tick. A lease expires when its owner's beat has not changed for
+//!   the lease timeout on the observer's own monotonic clock, so no
+//!   cross-host clock sync is required.
 //! * **Seed stealing.** A claimed job is sharded into one
 //!   `seeds/<id>/s<seed>.open.json` entry per unfinished seed; *any*
 //!   idle daemon renames an open entry to `.run.json` to claim it.
-//!   Checkpoints are bit-exact, so a seed reaped from a dead host
+//!   Checkpoints are bit-exact, so a seed taken from a dead host
 //!   resumes mid-anneal on the thief with a bit-identical final result.
 //!   Fencing tokens are embedded in checkpoint *filenames*
 //!   (see `astrx_oblx::jobs::fenced_checkpoint_path`), so a zombie's
 //!   late checkpoint write can never shadow the new holder's state.
-//! * **Recovery split.** [`Spool::recover`], which every daemon runs
-//!   at startup, requeues the jobs and re-opens the seed entries whose
-//!   lease names *this* host id: the orphans of its own previous run.
-//!   Everything else waits for lease-timeout evidence in the pool's
-//!   reaper tick: expired *foreign* leases, and claimed entries with no
-//!   lease at all (a claimer that died between its claim rename and
-//!   its lease write).
+//!
+//! A lease is taken over one way ([`Spool::take_over`]): its claimed
+//! seed re-opens at a bumped fence, its claimed job goes back to the
+//! queue, and a lease whose entry is gone is released.
+//! [`Spool::recover`], which every daemon runs at startup, takes over
+//! the leases that name *this* host id; the pool's reaper takes over
+//! those of dead hosts.
 
+use crate::events::WorkerState;
 use astrx_oblx::jobs::{self, JobFile, JobRequest};
 use astrx_oblx::json::{ObjBuilder, Value};
 use std::collections::VecDeque;
 use std::io;
 use std::path::{Path, PathBuf};
+#[cfg(test)]
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Duration;
 
 /// Handle to a spool directory, carrying the local host identity used
@@ -67,6 +73,27 @@ use std::time::Duration;
 pub struct Spool {
     root: PathBuf,
     host: String,
+    /// The test-only crash seam, shared by the handle's clones: the
+    /// number of the mutation that crashes, and the mutations so far.
+    #[cfg(test)]
+    crash: Option<std::sync::Arc<(usize, AtomicUsize)>>,
+}
+
+#[cfg(test)]
+impl Spool {
+    /// This handle, crashing at its mutation `at` (counted from 0) as a
+    /// process killed there would; `usize::MAX` only counts.
+    pub(crate) fn crashing_at(mut self, at: usize) -> Spool {
+        self.crash = Some(std::sync::Arc::new((at, AtomicUsize::new(0))));
+        self
+    }
+
+    /// The mutations this handle has made or failed so far.
+    pub(crate) fn mutations(&self) -> usize {
+        self.crash
+            .as_ref()
+            .map_or(0, |c| c.1.load(Ordering::SeqCst))
+    }
 }
 
 /// The default host identity: `$OBLX_HOST_ID` when set, else the
@@ -104,6 +131,8 @@ impl Spool {
         let spool = Spool {
             root: root.into(),
             host: default_host_id(),
+            #[cfg(test)]
+            crash: None,
         };
         for dir in [
             spool.queue_dir(),
@@ -196,38 +225,48 @@ impl Spool {
         self.seeds_root().join(id)
     }
 
-    /// `leases/` — job and seed liveness leases.
+    /// `leases/` — job and seed claim leases.
     pub fn leases_dir(&self) -> PathBuf {
         self.root.join("leases")
     }
 
-    /// `hosts/` — per-daemon heartbeat snapshots.
+    /// `hosts/` — one file per daemon: its beat and worker rows.
     pub fn hosts_dir(&self) -> PathBuf {
         self.root.join("hosts")
     }
 
-    /// Path of this daemon's live worker-state snapshot. Per-host, so
-    /// parallel daemons over one spool do not clobber each other.
-    pub fn workers_path(&self) -> PathBuf {
-        self.root.join(format!("workers.{}.json", self.host))
-    }
+    // -----------------------------------------------------------------
+    // The choke point.
 
-    /// Worker-snapshot paths (`workers.<host>.json`) of every daemon
-    /// that has written one.
-    pub fn all_workers_paths(&self) -> Vec<PathBuf> {
-        let mut out = Vec::new();
-        if let Ok(entries) = std::fs::read_dir(&self.root) {
-            for entry in entries.flatten() {
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                if name.starts_with("workers.") && name.ends_with(".json") && name != "workers.json"
-                {
-                    out.push(entry.path());
-                }
+    /// Makes one spool mutation: a rename, a link, a temp file's write
+    /// or a removal. Every mutation of `spool.rs` and `pool.rs` goes
+    /// through here, so the test-only crash seam can fail any one of
+    /// them and every one after it.
+    pub(crate) fn apply<T>(&self, op: impl FnOnce() -> io::Result<T>) -> io::Result<T> {
+        #[cfg(test)]
+        if let Some((at, count)) = self.crash.as_deref() {
+            if count.fetch_add(1, Ordering::SeqCst) >= *at {
+                return Err(io::Error::other("crash point"));
             }
         }
-        out.sort();
-        out
+        op()
+    }
+
+    /// Whether this handle has crashed (never, outside tests). Its pool
+    /// then stops, and its host file is no longer written.
+    pub(crate) fn crashed(&self) -> bool {
+        #[cfg(test)]
+        let crashed = (self.crash.as_deref()).is_some_and(|(at, n)| n.load(Ordering::SeqCst) > *at);
+        #[cfg(not(test))]
+        let crashed = false;
+        crashed
+    }
+
+    /// Writes `path` atomically: two mutations, the temporary file
+    /// (see [`jobs::write_tmp`]) and its rename into place.
+    pub(crate) fn write(&self, path: &Path, contents: &str) -> io::Result<()> {
+        let tmp = self.apply(|| jobs::write_tmp(path, contents))?;
+        self.apply(|| std::fs::rename(&tmp, path))
     }
 
     /// Submits a job: assigns an id and sequence number and writes it
@@ -241,22 +280,21 @@ impl Spool {
         jobs::spool_submit(&self.root, request)
     }
 
+    fn read_job(path: &Path) -> Option<JobFile> {
+        let text = std::fs::read_to_string(path).ok()?;
+        jobs::job_from_json(&text).ok()
+    }
+
     fn read_jobs(dir: &Path) -> Vec<JobFile> {
         let Ok(entries) = std::fs::read_dir(dir) else {
             return Vec::new();
         };
-        let mut out = Vec::new();
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("json") {
-                continue;
-            }
-            if let Ok(text) = std::fs::read_to_string(&path) {
-                if let Ok(job) = jobs::job_from_json(&text) {
-                    out.push(job);
-                }
-            }
-        }
+        let mut out: Vec<JobFile> = entries
+            .flatten()
+            .map(|e| e.path())
+            .filter(|p| p.extension().and_then(|e| e.to_str()) == Some("json"))
+            .filter_map(|p| Self::read_job(&p))
+            .collect();
         out.sort_by(|a, b| {
             b.request
                 .priority
@@ -276,16 +314,8 @@ impl Spool {
         Self::read_jobs(&self.running_dir())
     }
 
-    /// Ids of the claimed jobs, from file names alone (no parse).
-    pub(crate) fn running_ids(&self) -> Vec<String> {
-        Self::json_ids(&self.running_dir())
-    }
-
     /// Claims the highest-priority pending job by renaming it into
-    /// `running/`. The rename is the arbitration point: when several
-    /// workers race, exactly one rename succeeds and the losers move on
-    /// to the next candidate. A successful claim writes the job's
-    /// lease, marking this host as its shard-owner.
+    /// `running/`, after creating its lease (see [`Spool::claim_next_from`]).
     ///
     /// Each call rescans the queue; claim loops should hold a
     /// [`ClaimCursor`] and use [`Spool::claim_next_from`] instead.
@@ -294,38 +324,48 @@ impl Spool {
     }
 
     /// [`Spool::claim_next`] resuming from `cursor`: the queue scan is
-    /// cached across calls, so under N contending claimers a rename
-    /// loser moves on to the next cached candidate instead of rescanning
-    /// and re-parsing the whole queue directory (the thundering-herd
-    /// cost was O(queue²) per drain). The cursor also tracks contention
-    /// for [`ClaimCursor::backoff`].
+    /// cached across calls, so under N contending claimers a loser
+    /// moves on to the next cached candidate instead of rescanning and
+    /// re-parsing the whole queue directory (the thundering-herd cost
+    /// was O(queue²) per drain). The job's lease is the arbitration
+    /// point: when several workers race, exactly one creates it, and
+    /// only that one renames the job into `running/`. The cursor also
+    /// tracks contention for [`ClaimCursor::backoff`].
     pub fn claim_next_from(&self, cursor: &mut ClaimCursor) -> Option<JobFile> {
-        loop {
+        // Once the cache is exhausted by losses, rescan once: a job whose
+        // lease a dead claimer left stays queued, so scanning until the
+        // queue is empty could spin for a whole lease timeout.
+        for _ in 0..2 {
             if cursor.cached.is_empty() {
                 cursor.cached = self.pending().into();
-                if cursor.cached.is_empty() {
-                    return None;
-                }
             }
             while let Some(job) = cursor.cached.pop_front() {
                 let from = self.queue_dir().join(format!("{}.json", job.id));
                 let to = self.running_dir().join(format!("{}.json", job.id));
-                if std::fs::rename(&from, &to).is_ok() {
+                if self.claim(&LeaseName::job(&job.id), 1, &from, &to) {
                     cursor.losses = 0;
-                    let _ = self.write_lease(&LeaseName::job(&job.id), 1, 1);
                     return Some(job);
                 }
                 // A peer claimed (or a cancel dequeued) this candidate
                 // under us; the next cached entry is O(1) away.
                 cursor.losses = cursor.losses.saturating_add(1);
             }
-            // Cache exhausted by losses: rescan once; an empty rescan
-            // means the queue really is (momentarily) empty.
-            cursor.cached = self.pending().into();
-            if cursor.cached.is_empty() {
-                return None;
-            }
         }
+        None
+    }
+
+    /// Claims the entry at `from` by renaming it to `to`, after
+    /// creating its lease `name` at `fence` exclusively. A lost rename
+    /// releases the lease again.
+    fn claim(&self, name: &LeaseName, fence: u64, from: &Path, to: &Path) -> bool {
+        if !from.exists() || !self.create_lease(name, fence) {
+            return false;
+        }
+        if self.apply(|| std::fs::rename(from, to)).is_ok() {
+            return true;
+        }
+        self.release_lease(name);
+        false
     }
 
     // -----------------------------------------------------------------
@@ -342,49 +382,52 @@ impl Spool {
         Lease::from_json(&text)
     }
 
-    /// Writes (or overwrites) a lease owned by this host.
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error.
-    pub fn write_lease(&self, name: &LeaseName, fence: u64, beat: u64) -> io::Result<()> {
+    /// Creates lease `name` for this host at `fence` — a temporary file
+    /// linked into place, which fails when the lease already exists —
+    /// and removes the temporary file. Returns whether the link won.
+    fn create_lease(&self, name: &LeaseName, fence: u64) -> bool {
         let lease = Lease {
             owner: self.host.clone(),
             pid: std::process::id(),
-            beat,
             fence,
         };
-        jobs::write_atomic(&self.lease_path(name), &lease.to_json())?;
-        oblx_telemetry::incr(oblx_telemetry::Counter::LeaseAcquired);
-        Ok(())
-    }
-
-    /// Advances the heartbeat counter of a lease this host believes it
-    /// holds at `fence`. Returns `false` — **the holder has been fenced
-    /// out and must abandon the work item** — when the lease on disk is
-    /// missing, foreign-owned, or carries a different fence (a reaper
-    /// re-opened the entry and someone re-claimed it).
-    pub fn refresh_lease(&self, name: &LeaseName, fence: u64) -> bool {
-        let Some(lease) = self.read_lease(name) else {
-            oblx_telemetry::incr(oblx_telemetry::Counter::LeaseLost);
+        let path = self.lease_path(name);
+        let Ok(tmp) = self.apply(|| jobs::write_tmp(&path, &lease.to_json())) else {
             return false;
         };
-        if lease.owner != self.host || lease.fence != fence {
-            oblx_telemetry::incr(oblx_telemetry::Counter::LeaseLost);
-            return false;
+        let linked = self.apply(|| std::fs::hard_link(&tmp, &path)).is_ok();
+        let _ = self.apply(|| std::fs::remove_file(&tmp));
+        if linked {
+            oblx_telemetry::incr(oblx_telemetry::Counter::LeaseAcquired);
         }
-        let next = Lease {
-            beat: lease.beat.wrapping_add(1),
-            ..lease
-        };
-        jobs::write_atomic(&self.lease_path(name), &next.to_json()).is_ok()
+        linked
     }
 
-    /// Removes a lease (normal completion of the leased work item).
+    /// Whether this host still holds lease `name` at `fence`. `false`
+    /// means **the holder has been fenced out and must abandon the work
+    /// item**: the lease is missing, foreign-owned, or carries another
+    /// fence (its work was taken over and someone re-claimed it).
+    pub fn holds_lease(&self, name: &LeaseName, fence: u64) -> bool {
+        let held = self
+            .read_lease(name)
+            .is_some_and(|l| l.owner == self.host && l.fence == fence);
+        if !held {
+            oblx_telemetry::incr(oblx_telemetry::Counter::LeaseLost);
+        }
+        held
+    }
+
+    /// Removes a lease, then the temporary files of creators that were
+    /// killed before their link left beside it.
     pub fn release_lease(&self, name: &LeaseName) {
-        if std::fs::remove_file(self.lease_path(name)).is_ok() {
+        let path = self.lease_path(name);
+        if self.apply(|| std::fs::remove_file(&path)).is_ok() {
             oblx_telemetry::incr(oblx_telemetry::Counter::LeaseReleased);
         }
+        let _ = self.apply(|| {
+            jobs::remove_stale_tmp_siblings(&path);
+            Ok(())
+        });
     }
 
     /// Every lease in the spool, parsed. Torn files are skipped.
@@ -409,6 +452,57 @@ impl Spool {
         }
         out.sort_by_key(|a| a.0.stem());
         out
+    }
+
+    /// Takes over the work item lease `name` claims, provided the lease
+    /// on disk is still `lease` (a peer may have been first): a claimed
+    /// seed re-opens at a bumped fence (logged as `seed_<verb>`), a
+    /// claimed job goes back to the queue (`job_<verb>`) — a tombstoned
+    /// one is retired instead — and a lease whose entry is gone is
+    /// released. Returns whether work went back to the cluster.
+    pub fn take_over(&self, name: &LeaseName, lease: &Lease, verb: &str) -> bool {
+        if self.read_lease(name).as_ref() != Some(lease) {
+            return false;
+        }
+        let log = crate::events::EventLog::open(self, name.job_id());
+        match name {
+            LeaseName::Seed(job, seed) => {
+                let run = self.seed_entry_path(job, *seed, "run");
+                if let Some(entry) = std::fs::read_to_string(run)
+                    .ok()
+                    .and_then(|t| SeedEntry::from_json(&t))
+                {
+                    let fence = jobs::u64_to_value(entry.fence + 1);
+                    let reopened = self.reopen_seed(&entry);
+                    if reopened {
+                        let seed = jobs::u64_to_value(*seed);
+                        log.emit(&format!("seed_{verb}"), &[("seed", seed), ("fence", fence)]);
+                    }
+                    return reopened;
+                }
+            }
+            LeaseName::Job(id) => {
+                if let Some(job) = self.read_running_job(id) {
+                    // Needed by `recover_retires_tombstoned_orphans`: a
+                    // job cancelled while its owner was down is not worth
+                    // resuming only to stop it at its first checkpoint.
+                    if self.cancel_requested(id) {
+                        let _ = self.try_retire_cancelled(id, &job.request.name);
+                        return false;
+                    }
+                    let from = self.running_dir().join(format!("{id}.json"));
+                    let to = self.queue_dir().join(format!("{id}.json"));
+                    if self.apply(|| std::fs::rename(&from, &to)).is_err() {
+                        return false;
+                    }
+                    self.release_lease(name);
+                    log.emit(&format!("job_{verb}"), &[]);
+                    return true;
+                }
+            }
+        }
+        self.release_lease(name);
+        false
     }
 
     // -----------------------------------------------------------------
@@ -445,7 +539,7 @@ impl Spool {
                 index,
                 fence: 1,
             };
-            jobs::write_atomic(
+            self.write(
                 &self.seed_entry_path(&job.id, seed, "open"),
                 &entry.to_json(),
             )?;
@@ -503,87 +597,75 @@ impl Spool {
         })
     }
 
-    /// Claims one open seed entry by renaming it to its `run` name —
-    /// the cross-host arbitration point — and writes its lease at the
-    /// entry's fence. Returns `false` when a peer won the rename.
+    /// Claims one open seed entry: creates its lease at the entry's
+    /// fence, then renames the entry to its `run` name. Returns `false`
+    /// when a peer holds the lease or won the rename.
     pub fn claim_seed(&self, entry: &SeedEntry) -> bool {
         let from = self.seed_entry_path(&entry.job, entry.seed, "open");
         let to = self.seed_entry_path(&entry.job, entry.seed, "run");
-        if std::fs::rename(&from, &to).is_err() {
-            return false;
-        }
-        let _ = self.write_lease(&LeaseName::seed(&entry.job, entry.seed), entry.fence, 1);
-        true
+        self.claim(
+            &LeaseName::seed(&entry.job, entry.seed),
+            entry.fence,
+            &from,
+            &to,
+        )
     }
 
-    /// Retires a finished seed's run entry and lease (its done-record
-    /// is already durable in `ckpt/<id>/`).
+    /// Retires a finished seed's run entry, then its lease.
     pub fn finish_seed(&self, entry: &SeedEntry) {
-        let _ = std::fs::remove_file(self.seed_entry_path(&entry.job, entry.seed, "run"));
+        let run = self.seed_entry_path(&entry.job, entry.seed, "run");
+        let _ = self.apply(|| std::fs::remove_file(&run));
         self.release_lease(&LeaseName::seed(&entry.job, entry.seed));
     }
 
-    /// Re-opens a claimed seed entry whose holder is gone (crashed, or
-    /// lease expired): writes a fresh `open` entry with a **bumped
-    /// fencing token**, then retires the stale run entry and lease.
-    /// The order is crash-safe — if the reaper itself dies mid-way the
-    /// open entry survives and the next `claim_seed` rename simply
-    /// replaces the leftover run entry.
+    /// Re-opens a claimed seed entry whose holder is gone: writes a
+    /// fresh `open` entry with a **bumped fencing token**, then retires
+    /// the run entry, then its lease. Until the lease goes, it blocks
+    /// every claim of the new entry; a crash before that leaves the
+    /// lease for the next take-over, which repeats the steps.
     pub fn reopen_seed(&self, entry: &SeedEntry) -> bool {
         let reopened = SeedEntry {
             fence: entry.fence + 1,
             ..entry.clone()
         };
         let open = self.seed_entry_path(&entry.job, entry.seed, "open");
-        if jobs::write_atomic(&open, &reopened.to_json()).is_err() {
+        if self.write(&open, &reopened.to_json()).is_err() {
             return false;
         }
-        self.release_lease(&LeaseName::seed(&entry.job, entry.seed));
-        let _ = std::fs::remove_file(self.seed_entry_path(&entry.job, entry.seed, "run"));
+        self.finish_seed(entry);
         true
     }
 
     /// Retires every per-seed trace of a terminal job: its seeds
-    /// directory and every seed lease — including one whose holder was
-    /// killed inside [`Spool::finish_seed`], after the run entry went
-    /// but before the lease did.
+    /// directory, then every seed lease — including one whose holder
+    /// was killed inside [`Spool::finish_seed`], after the run entry
+    /// went but before the lease did.
     pub fn remove_seed_entries(&self, id: &str) {
-        let _ = std::fs::remove_dir_all(self.job_seeds_dir(id));
-        let Ok(entries) = std::fs::read_dir(self.leases_dir()) else {
-            return;
-        };
-        for entry in entries.flatten() {
-            let name = entry.file_name();
-            let lease = name
-                .to_str()
-                .and_then(|n| n.strip_suffix(".lease"))
-                .and_then(LeaseName::parse)
-                .filter(|l| matches!(l, LeaseName::Seed(job, _) if job == id));
-            if let Some(lease) = lease {
+        let _ = self.apply(|| std::fs::remove_dir_all(self.job_seeds_dir(id)));
+        for (lease, _) in self.leases() {
+            if matches!(&lease, LeaseName::Seed(job, _) if job == id) {
                 self.release_lease(&lease);
             }
         }
     }
 
     // -----------------------------------------------------------------
-    // Host heartbeats.
+    // Host files.
 
-    /// Writes this daemon's heartbeat snapshot (`hosts/<host>.json`):
-    /// worker count plus a beat counter the status side can watch for
-    /// staleness.
-    pub fn write_host_heartbeat(&self, workers: usize, beat: u64) {
-        let ts = std::time::SystemTime::now()
-            .duration_since(std::time::UNIX_EPOCH)
-            .map(|d| d.as_secs_f64())
-            .unwrap_or(0.0);
+    /// Writes this daemon's host file (`hosts/<host>.json`): the beat
+    /// counter its peers watch for liveness, and one row per worker. It
+    /// is not a crash point; a crashed handle just stops writing it.
+    pub fn write_host(&self, beat: u64, worker_state: Vec<Value>) {
+        if self.crashed() {
+            return;
+        }
         let doc = ObjBuilder::new()
             .field("format", "oblx-host")
             .field("version", 1i64)
             .field("host", self.host.as_str())
             .field("pid", i64::from(std::process::id()))
-            .field("workers", workers)
             .field("beat", jobs::u64_to_value(beat))
-            .field("ts", ts)
+            .field("worker_state", Value::Arr(worker_state))
             .build();
         let _ = jobs::write_atomic(
             &self.hosts_dir().join(format!("{}.json", self.host)),
@@ -591,14 +673,14 @@ impl Spool {
         );
     }
 
-    /// Every host heartbeat in the spool, sorted by host id.
+    /// Every host file in the spool, sorted by host id.
     pub fn hosts(&self) -> Vec<HostInfo> {
         let Ok(entries) = std::fs::read_dir(self.hosts_dir()) else {
             return Vec::new();
         };
         let mut out = Vec::new();
         for entry in entries.flatten() {
-            // Only `<host>.json`: a heartbeat being written sits in a
+            // Only `<host>.json`: a host file being written sits in a
             // temporary sibling with the same contents until its rename.
             if entry.path().extension().and_then(|e| e.to_str()) != Some("json") {
                 continue;
@@ -615,19 +697,34 @@ impl Spool {
             let Some(host) = v.get("host").and_then(Value::as_str) else {
                 continue;
             };
+            let rows = v.get("worker_state").and_then(Value::as_arr);
+            let worker_state: Vec<WorkerState> = rows
+                .into_iter()
+                .flatten()
+                .filter_map(|row| {
+                    Some(WorkerState {
+                        host: host.to_string(),
+                        worker: usize::try_from(row.get("worker")?.as_int()?).ok()?,
+                        busy: row.get("busy")?.as_bool()?,
+                        job: row.get("job").and_then(Value::as_str).map(str::to_string),
+                        seed: row.get("seed").and_then(|s| jobs::u64_from_value(s).ok()),
+                        tasks_done: row
+                            .get("tasks_done")
+                            .and_then(Value::as_int)
+                            .and_then(|i| usize::try_from(i).ok())
+                            .unwrap_or(0),
+                    })
+                })
+                .collect();
             out.push(HostInfo {
                 host: host.to_string(),
                 pid: v.get("pid").and_then(Value::as_int).unwrap_or(0) as u32,
-                workers: v
-                    .get("workers")
-                    .and_then(Value::as_int)
-                    .and_then(|i| usize::try_from(i).ok())
-                    .unwrap_or(0),
+                workers: rows.map_or(0, <[Value]>::len),
                 beat: v
                     .get("beat")
                     .and_then(|b| jobs::u64_from_value(b).ok())
                     .unwrap_or(0),
-                ts: v.get("ts").and_then(Value::as_f64).unwrap_or(0.0),
+                worker_state,
             });
         }
         out.sort_by(|a, b| a.host.cmp(&b.host));
@@ -665,7 +762,7 @@ impl Spool {
                     continue;
                 };
                 let to = self.corrupt_dir().join(format!("{stem}.json"));
-                if std::fs::rename(&path, &to).is_ok() {
+                if self.apply(|| std::fs::rename(&path, &to)).is_ok() {
                     quarantined.push(stem);
                 }
             }
@@ -673,93 +770,60 @@ impl Spool {
         quarantined
     }
 
-    /// Startup recovery: requeues `running/` jobs and re-opens claimed
-    /// seed entries whose lease names **this host id** — the orphans
-    /// of this daemon's previous run. Work leased to another host, and
-    /// lease-less work, is left strictly alone: the pool reaper takes
-    /// it once the lease timeout passes, so recovery is safe on any
-    /// daemon at any start. A tombstoned own orphan is retired rather
-    /// than requeued. Each re-opened seed is logged (`seed_recovered`,
-    /// with its `seed`) in its job's event log. Returns the id of each
-    /// affected job once. Undecodable `running/` entries are
-    /// quarantined (see [`Spool::quarantine_corrupt`]) rather than
+    /// Startup recovery: takes over ([`Spool::take_over`]) every lease
+    /// that names **this host id** — the claims of this daemon's
+    /// previous run, half-made ones included — so a restart waits for
+    /// no timeout. Work leased to another host is left alone: the pool
+    /// reaper takes it once its owner's beat stops, so recovery is safe
+    /// on any daemon at any start. Returns the id of each job whose work
+    /// went back to the cluster, once. Undecodable `running/` entries
+    /// are quarantined (see [`Spool::quarantine_corrupt`]) rather than
     /// silently left behind.
     pub fn recover(&self) -> Vec<String> {
         let _ = self.quarantine_corrupt();
         let mut recovered = Vec::new();
-        for job in self.running() {
-            if !self.owns_lease(&LeaseName::job(&job.id)) {
+        for (name, lease) in self.leases() {
+            if lease.owner != self.host || !self.take_over(&name, &lease, "recovered") {
                 continue;
             }
-            // A tombstoned orphan is not worth requeueing: retire the
-            // job here instead of resuming it only to stop it again at
-            // its first checkpoint — but only once no peer still runs
-            // one of its seeds.
-            if self.cancel_requested(&job.id) {
-                if !self.foreign_live_seeds(&job.id) {
-                    let _ = self.try_retire_cancelled(&job.id, &job.request.name);
-                }
-                continue;
-            }
-            let from = self.running_dir().join(format!("{}.json", job.id));
-            let to = self.queue_dir().join(format!("{}.json", job.id));
-            if std::fs::rename(&from, &to).is_ok() {
-                self.release_lease(&LeaseName::job(&job.id));
-                recovered.push(job.id);
-            }
-        }
-        for entry in self.running_seed_entries() {
-            if !self.owns_lease(&LeaseName::seed(&entry.job, entry.seed))
-                || !self.reopen_seed(&entry)
-            {
-                continue;
-            }
-            crate::events::EventLog::open(self, &entry.job).emit(
-                "seed_recovered",
-                &[
-                    ("seed", jobs::u64_to_value(entry.seed)),
-                    ("fence", jobs::u64_to_value(entry.fence + 1)),
-                ],
-            );
-            if !recovered.contains(&entry.job) {
-                recovered.push(entry.job);
+            let id = name.job_id().to_string();
+            if !recovered.contains(&id) {
+                recovered.push(id);
             }
         }
         recovered
     }
 
-    /// Whether the lease `name` exists and names this host.
-    fn owns_lease(&self, name: &LeaseName) -> bool {
-        self.read_lease(name).is_some_and(|l| l.owner == self.host)
-    }
-
-    /// Whether any seed of `id` is claimed (`run`) under a lease owned
-    /// by a *different* host.
-    fn foreign_live_seeds(&self, id: &str) -> bool {
-        self.running_seed_entries()
-            .iter()
-            .filter(|e| e.job == id)
-            .any(|e| {
-                self.read_lease(&LeaseName::seed(&e.job, e.seed))
-                    .is_some_and(|l| l.owner != self.host)
-            })
-    }
-
-    /// Records a finished job: writes the result record into `done/`
-    /// and drops the `running/` entry.
+    /// Records a finished job: writes the result record into `done/`,
+    /// then retires every other trace of the job.
     ///
     /// # Errors
     ///
     /// Any I/O error writing the record.
     pub fn complete(&self, id: &str, record: &Value) -> io::Result<()> {
         let path = self.done_dir().join(format!("{id}.json"));
-        jobs::write_atomic(&path, &record.to_json())?;
+        self.write(&path, &record.to_json())?;
         // A dead finalizer's temporary file would stay forever. A live
         // one (the reaper may redo a finalize) writes the same bytes, so
         // failing its rename loses nothing.
-        jobs::remove_stale_tmp_siblings(&path);
-        let _ = std::fs::remove_file(self.running_dir().join(format!("{id}.json")));
+        let _ = self.apply(|| {
+            jobs::remove_stale_tmp_siblings(&path);
+            Ok(())
+        });
+        self.retire(id);
         Ok(())
+    }
+
+    /// Retires every trace of a job whose terminal record is durable:
+    /// its claimed entry, its seed entries and their leases, its job
+    /// lease, and last its checkpoint directory, whose parked spec tells
+    /// the reaper until then that the retirement is unfinished.
+    pub(crate) fn retire(&self, id: &str) {
+        let running = self.running_dir().join(format!("{id}.json"));
+        let _ = self.apply(|| std::fs::remove_file(&running));
+        self.remove_seed_entries(id);
+        self.release_lease(&LeaseName::job(id));
+        let _ = self.apply(|| std::fs::remove_dir_all(self.ckpt_dir(id)));
     }
 
     /// Reads the result record of a finished job, if any.
@@ -836,11 +900,12 @@ impl Spool {
         }
         // Tombstone first: from this instant a racing worker will see
         // the request at claim time or at its next checkpoint.
-        jobs::write_atomic(&self.tombstone_path(id), "")?;
+        self.write(&self.tombstone_path(id), "")?;
         // `remove_file` vs the pool's claim `rename` race on the same
         // queue entry: exactly one syscall wins, so a job is either
         // dequeued here or claimed there, never both.
-        if std::fs::remove_file(self.queue_dir().join(format!("{id}.json"))).is_ok() {
+        let queued = self.queue_dir().join(format!("{id}.json"));
+        if self.apply(|| std::fs::remove_file(&queued)).is_ok() {
             self.complete_cancelled(id, name)?;
             return Ok(CancelOutcome::Dequeued);
         }
@@ -850,17 +915,17 @@ impl Spool {
         // Neither queued nor running. The job may have completed in the
         // window since the `done` check above — either way there is
         // nothing to cancel, so retract the tombstone.
-        let _ = std::fs::remove_file(self.tombstone_path(id));
+        let _ = self.apply(|| std::fs::remove_file(self.tombstone_path(id)));
         if self.done(id).is_some() {
             return Ok(CancelOutcome::AlreadyDone);
         }
         Ok(CancelOutcome::Unknown)
     }
 
-    /// Writes job `id`'s `cancelled` terminal record and retires every
-    /// live trace of it (queue/running entries, tombstone). Called by
-    /// [`Spool::cancel`] for queued jobs and by the pool once the last
-    /// in-flight seed of a tombstoned job has stopped.
+    /// Writes job `id`'s `cancelled` terminal record, removes its queue
+    /// entry and tombstone, and retires every other trace of it. Called
+    /// by [`Spool::cancel`] for queued jobs and by the pool once the
+    /// last in-flight seed of a tombstoned job has stopped.
     ///
     /// # Errors
     ///
@@ -874,12 +939,11 @@ impl Spool {
             .field("status", "cancelled")
             .build();
         let path = self.cancelled_dir().join(format!("{id}.json"));
-        jobs::write_atomic(&path, &record.to_json())?;
-        let _ = std::fs::remove_file(self.running_dir().join(format!("{id}.json")));
-        let _ = std::fs::remove_file(self.queue_dir().join(format!("{id}.json")));
-        let _ = std::fs::remove_file(self.tombstone_path(id));
-        self.remove_seed_entries(id);
-        self.release_lease(&LeaseName::job(id));
+        self.write(&path, &record.to_json())?;
+        let queued = self.queue_dir().join(format!("{id}.json"));
+        let _ = self.apply(|| std::fs::remove_file(&queued));
+        let _ = self.apply(|| std::fs::remove_file(self.tombstone_path(id)));
+        self.retire(id);
         crate::events::EventLog::open(self, id).emit("job_cancelled", &[("name", name.into())]);
         oblx_telemetry::incr(oblx_telemetry::Counter::JobCancelled);
         Ok(())
@@ -889,8 +953,7 @@ impl Spool {
     /// one caller across all hosts wins the arbitration rename of the
     /// job spec into `ckpt/<id>/job.json` and writes the `cancelled`
     /// record (via [`Spool::complete_cancelled`]); the losers see
-    /// `Ok(false)`. Callers must first ensure no peer still runs one of
-    /// the job's seeds.
+    /// `Ok(false)`.
     ///
     /// # Errors
     ///
@@ -900,20 +963,21 @@ impl Spool {
             return Ok(false);
         }
         self.complete_cancelled(id, name)?;
-        let _ = std::fs::remove_dir_all(self.ckpt_dir(id));
         Ok(true)
     }
 
     /// The finalize arbitration point: renames the job spec (from
-    /// `running/`, or `queue/` if a recover requeued it mid-flight)
+    /// `running/`, or `queue/` if a take-over requeued it mid-flight)
     /// into `ckpt/<id>/job.json`. Exactly one caller across all hosts
     /// succeeds; a crashed winner leaves `job.json` behind, which the
-    /// reaper detects (terminal record missing) and re-finalizes from.
+    /// reaper detects and finishes from.
     pub fn claim_finalize(&self, id: &str) -> bool {
         let parked = self.parked_job_path(id);
         let _ = std::fs::create_dir_all(self.ckpt_dir(id));
-        std::fs::rename(self.running_dir().join(format!("{id}.json")), &parked).is_ok()
-            || std::fs::rename(self.queue_dir().join(format!("{id}.json")), &parked).is_ok()
+        let running = self.running_dir().join(format!("{id}.json"));
+        let queued = self.queue_dir().join(format!("{id}.json"));
+        self.apply(|| std::fs::rename(&running, &parked)).is_ok()
+            || self.apply(|| std::fs::rename(&queued, &parked)).is_ok()
     }
 
     /// Where [`Spool::claim_finalize`] parks the job spec while the
@@ -924,13 +988,17 @@ impl Spool {
 
     /// Reads the spec of a claimed (running) job.
     pub fn read_running_job(&self, id: &str) -> Option<JobFile> {
-        let text = std::fs::read_to_string(self.running_dir().join(format!("{id}.json"))).ok()?;
-        jobs::job_from_json(&text).ok()
+        Self::read_job(&self.running_dir().join(format!("{id}.json")))
+    }
+
+    /// Reads the spec of a job that is claimed or back in the queue.
+    pub(crate) fn read_live_job(&self, id: &str) -> Option<JobFile> {
+        self.read_running_job(id)
+            .or_else(|| Self::read_job(&self.queue_dir().join(format!("{id}.json"))))
     }
 
     /// Ids with a parked job spec (`ckpt/<id>/job.json`) — jobs whose
-    /// finalize was claimed; ones without a terminal record yet belong
-    /// to a crashed finalizer and are re-finalized by the reaper.
+    /// finalize was claimed and whose retirement has not finished.
     pub fn parked_job_ids(&self) -> Vec<String> {
         let Ok(entries) = std::fs::read_dir(self.ckpt_root()) else {
             return Vec::new();
@@ -946,11 +1014,9 @@ impl Spool {
 
     /// Reads a parked job spec.
     pub fn read_parked_job(&self, id: &str) -> Option<JobFile> {
-        let text = std::fs::read_to_string(self.parked_job_path(id)).ok()?;
-        jobs::job_from_json(&text).ok()
+        Self::read_job(&self.parked_job_path(id))
     }
 }
-
 /// Claim-scan cache and contention tracker for
 /// [`Spool::claim_next_from`]. One per claim loop (worker thread);
 /// never shared.
@@ -996,9 +1062,9 @@ impl ClaimCursor {
 /// of a job (run liveness).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LeaseName {
-    /// The job-level lease written at claim time.
+    /// The job lease: who claimed the job and sharded it.
     Job(String),
-    /// The per-seed lease refreshed at every checkpoint.
+    /// The lease of one claimed seed entry.
     Seed(String, u64),
 }
 
@@ -1043,17 +1109,15 @@ impl LeaseName {
     }
 }
 
-/// One liveness lease on disk: who holds a work item, at what fencing
-/// token, and a heartbeat counter peers watch for progress.
+/// One claim lease on disk: who holds a work item, and at what
+/// fencing token. Whether the holder lives is its host's beat.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Lease {
     /// Host id of the holder.
     pub owner: String,
     /// Pid of the holding daemon (diagnostic only).
     pub pid: u32,
-    /// Heartbeat counter; bumped by [`Spool::refresh_lease`].
-    pub beat: u64,
-    /// Fencing token; must match the work entry's fence to refresh.
+    /// Fencing token; the work entry's fence when it was claimed.
     pub fence: u64,
 }
 
@@ -1065,7 +1129,6 @@ impl Lease {
             .field("version", 1i64)
             .field("owner", self.owner.as_str())
             .field("pid", i64::from(self.pid))
-            .field("beat", jobs::u64_to_value(self.beat))
             .field("fence", jobs::u64_to_value(self.fence))
             .build()
             .to_json()
@@ -1080,7 +1143,6 @@ impl Lease {
         Some(Lease {
             owner: v.get("owner")?.as_str()?.to_string(),
             pid: u32::try_from(v.get("pid").and_then(Value::as_int).unwrap_or(0)).unwrap_or(0),
-            beat: jobs::u64_from_value(v.get("beat")?).ok()?,
             fence: jobs::u64_from_value(v.get("fence")?).ok()?,
         })
     }
@@ -1129,7 +1191,7 @@ impl SeedEntry {
     }
 }
 
-/// A parsed `hosts/<host>.json` heartbeat snapshot.
+/// A parsed `hosts/<host>.json` host file.
 #[derive(Debug, Clone, PartialEq)]
 pub struct HostInfo {
     /// The daemon's host id.
@@ -1138,11 +1200,10 @@ pub struct HostInfo {
     pub pid: u32,
     /// Worker threads it runs.
     pub workers: usize,
-    /// Heartbeat counter (bumped every reaper tick).
+    /// Beat counter, bumped on every tick of its pool.
     pub beat: u64,
-    /// Wall-clock seconds since the epoch at the last beat
-    /// (diagnostic only — liveness uses beat observation).
-    pub ts: f64,
+    /// One row per worker.
+    pub worker_state: Vec<WorkerState>,
 }
 
 /// What [`Spool::cancel`] found and did.
@@ -1189,7 +1250,7 @@ mod tests {
     #[test]
     fn a_heartbeat_being_written_is_not_a_second_host() {
         let spool = temp_spool("hosts").with_host("a");
-        spool.write_host_heartbeat(1, 1);
+        spool.write_host(1, Vec::new());
         // A writer between its temporary file's write and its rename.
         let beat = spool.hosts_dir().join("a.json");
         std::fs::copy(&beat, spool.hosts_dir().join("a.json.4242.0.tmp")).unwrap();
@@ -1410,23 +1471,8 @@ mod tests {
     }
 
     #[test]
-    fn recover_leaves_lease_less_and_peer_leased_work_alone() {
+    fn recover_leaves_peer_leased_work_alone() {
         let spool = temp_spool("recover-split").with_host("me");
-        // A claimer that died between its claim renames and its lease
-        // writes: a job in running/ and a seed run entry, neither leased.
-        let orphan = spool.submit(req("orphan", 0)).unwrap();
-        let file = format!("{}.json", orphan.id);
-        std::fs::rename(
-            spool.queue_dir().join(&file),
-            spool.running_dir().join(&file),
-        )
-        .unwrap();
-        spool.shard_job(&orphan).unwrap();
-        std::fs::rename(
-            spool.seed_entry_path(&orphan.id, 1, "open"),
-            spool.seed_entry_path(&orphan.id, 1, "run"),
-        )
-        .unwrap();
         // A job whose seed a live peer is running.
         let peer = spool.clone().with_host("peer");
         peer.submit(req("busy", 0)).unwrap();
@@ -1437,12 +1483,38 @@ mod tests {
 
         let before = spool.running_seed_entries();
         assert!(spool.recover().is_empty(), "nothing here is leased to `me`");
-        assert_eq!(spool.running().len(), 2, "both jobs stay claimed");
+        assert_eq!(spool.running().len(), 1, "the job stays claimed");
         assert_eq!(spool.running_seed_entries(), before);
         assert!(spool.open_seed_entries().is_empty());
-        assert!(spool.read_lease(&LeaseName::job(&orphan.id)).is_none());
         let lease = spool.read_lease(&LeaseName::seed(&busy.id, 1)).unwrap();
         assert_eq!((lease.owner.as_str(), lease.fence), ("peer", entry.fence));
+        std::fs::remove_dir_all(spool.root()).unwrap();
+    }
+
+    #[test]
+    fn releasing_a_lease_removes_its_dead_creators_temp_files() {
+        let spool = temp_spool("stale-lease");
+        let job = spool.submit(req("amp", 0)).unwrap();
+        let lease = spool.lease_path(&LeaseName::job(&job.id));
+        // Two claimers killed between their lease's temp file and its
+        // link.
+        for n in 0..2 {
+            let stale = spool
+                .leases_dir()
+                .join(format!("{}.lease.4242.{n}.tmp", job.id));
+            std::fs::write(&stale, "{\"format\":\"oblx-le").unwrap();
+        }
+        assert!(spool.claim_next().is_some());
+        assert!(lease.exists());
+        spool
+            .complete(&job.id, &ObjBuilder::new().field("status", "ok").build())
+            .unwrap();
+        let left: Vec<_> = std::fs::read_dir(spool.leases_dir())
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name())
+            .collect();
+        assert!(left.is_empty(), "left in leases/: {left:?}");
         std::fs::remove_dir_all(spool.root()).unwrap();
     }
 

@@ -138,9 +138,9 @@ pub enum Counter {
     LeaseAcquired,
     /// Leases released after normal completion.
     LeaseReleased,
-    /// Expired leases reaped by a surviving host.
+    /// Leases of dead hosts taken over by a surviving host.
     LeaseReaped,
-    /// Lease refreshes that discovered the lease was stolen — the
+    /// Fence checks that found the lease gone or someone else's — the
     /// holder was fenced out and abandoned its work item.
     LeaseLost,
     /// Seed tasks claimed from a job sharded by a different host.
