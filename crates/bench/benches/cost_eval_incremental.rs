@@ -130,10 +130,11 @@ fn bench(c: &mut Criterion) {
 
     // CI smoke gate on the *within-run* ratio (machine-independent;
     // absolute µs swing ±30% on shared VMs while this ratio holds).
-    // Recorded ratio ≈ 0.08 (BENCH_eval.json); the pre-sparse plan
-    // scored 0.28. The 0.20 threshold sits between them with >25%
-    // headroom on both sides, so only a structural regression of the
-    // sparse / incremental path can cross it — quick-mode noise cannot.
+    // Recorded ratio ≈ 0.08 (EXPERIMENTS.md, "Sparse MNA round" table);
+    // the pre-sparse plan scored 0.28. The 0.20 threshold sits between
+    // them with >25% headroom on both sides, so only a structural
+    // regression of the sparse / incremental path can cross it —
+    // quick-mode noise cannot.
     let ratio = median("incremental_node") / full;
     let verdict = if ratio < 0.20 {
         "EVAL_SPEEDUP_OK"

@@ -13,14 +13,14 @@
 //! * **queue throughput** — submitting 100 small jobs into a spool and
 //!   draining them through the work-stealing pool.
 
-use astrx_oblx::jobs::{checkpoint_from_json, checkpoint_to_json, write_atomic, JobRequest};
+use astrx_oblx::jobs::{checkpoint_from_json, checkpoint_to_json, JobRequest};
 use astrx_oblx::json::ObjBuilder;
 use astrx_oblx::oblx::synthesize_controlled;
 use astrx_oblx::{synthesize, SynthesisOptions, SynthesisOutcome};
 use criterion::{criterion_group, criterion_main, Criterion};
 use oblx_anneal::Directive;
 use oblx_runtime::pool::{self, PoolOptions};
-use oblx_runtime::spool::Spool;
+use oblx_runtime::spool::{write_atomic, Spool};
 use std::hint::black_box;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::AtomicBool;
@@ -62,7 +62,9 @@ fn bench(c: &mut Criterion) {
     g.bench_function("checkpoint_serialize", |b| {
         b.iter(|| black_box(checkpoint_to_json(&ck)))
     });
-    let path = dir.join("seed_7.ckpt.json");
+    let ck_spool = Spool::open(&dir).expect("spool opens");
+    let path = ck_spool.checkpoint_path("j000001", 7, 1);
+    std::fs::create_dir_all(ck_spool.ckpt_dir("j000001")).expect("checkpoint dir");
     g.bench_function("checkpoint_write_atomic", |b| {
         b.iter(|| write_atomic(&path, &text).expect("checkpoint persists"))
     });

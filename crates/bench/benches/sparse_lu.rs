@@ -16,9 +16,10 @@
 //! job (`SPARSE_LU_OK …` / `SPARSE_LU_FAIL …`). The gates are
 //! *within-run ratios* — sparse refactor vs dense factor, sparse vs
 //! dense solve chain — so they hold across machines of different
-//! absolute speed. Thresholds carry ≥25% headroom over the recorded
-//! ratios in BENCH_eval.json; crossing one means the sparse path
-//! regressed structurally, not that the VM had a slow day.
+//! absolute speed. Thresholds carry ≥25% headroom over the ratios
+//! recorded in EXPERIMENTS.md (the "Sparse MNA round" table); crossing
+//! one means the sparse path regressed structurally, not that the VM
+//! had a slow day.
 //!
 //! Set `OBLX_BENCH_QUICK=1` to cut sample counts (CI smoke mode).
 

@@ -3,13 +3,9 @@
 //! ```text
 //! astrx compile <file.ox> [--emit-c]        analyze a description
 //! astrx synth <file.ox> [--moves N] [--seeds N|a,b,c] [--threads T]
-//!                       [--checkpoint-dir DIR] [--checkpoint-interval N]
-//!                       [--resume] [--corners] [--yield]
+//!                       [--corners] [--yield]
 //! astrx bench <name> [same options]         run a built-in benchmark
 //! astrx list                                list built-in benchmarks
-//! astrx submit (<file.ox>|--bench NAME) --spool DIR
-//!              [--seeds …] [--moves N] [--priority P] [--name NAME]
-//! astrx jobs --spool DIR                    list an oblxd spool
 //! astrx profile [<file.ox>|--bench NAME] [--moves N] [--seed S] [--json]
 //! ```
 //!
@@ -17,41 +13,31 @@
 //! explicit comma list (`--seeds 2,7,19`); `--threads` distributes the
 //! per-seed runs over worker threads without changing any result.
 //!
-//! With `--checkpoint-dir` every per-seed run periodically snapshots
-//! its full annealing state; a later run with `--resume` continues
-//! from those snapshots bit-identically. `submit`/`jobs` are the thin
-//! client of the `oblxd` job runtime (see the `oblx-runtime` crate).
+//! A run that must survive a kill is a job for the `oblxd` runtime (the
+//! `oblx-runtime` crate): `oblxd submit` spools it and `oblxd run
+//! --drain` runs it, checkpointing every seed, and resumes it
+//! bit-identically when started again after a kill.
 
 use astrx_oblx::jobs;
 use astrx_oblx::oblx::{synthesize_multi, SynthesisOptions};
 use astrx_oblx::report::{eng, pair, TextTable};
 use astrx_oblx::verify::verify_result;
 use astrx_oblx::{bench_suite, corners, CompiledProblem};
-use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
 const USAGE: &str = "usage:
   astrx compile <file.ox> [--emit-c]
   astrx synth <file.ox> [--moves N] [--seeds N|a,b,c] [--threads T]
-              [--checkpoint-dir DIR] [--checkpoint-interval N] [--resume]
               [--corners] [--yield]
   astrx bench <name> [same options as synth]
   astrx list
-  astrx submit (<file.ox> | --bench NAME) --spool DIR
-               [--seeds N|a,b,c] [--moves N] [--priority P] [--name NAME]
-  astrx jobs --spool DIR
   astrx profile [<file.ox> | --bench NAME] [--moves N] [--seed S] [--json]
                (default: the Two-Stage benchmark; prints the telemetry
                 report — accept rates, cost terms, AWE/LU health)
 
-options:
-  --checkpoint-dir DIR       snapshot each per-seed run's full annealing
-                             state into DIR (atomic, versioned files)
-  --checkpoint-interval N    proposals between snapshots (default 2000)
-  --resume                   continue from the checkpoints already in
-                             --checkpoint-dir; the completed run is
-                             bit-identical to one never interrupted
-  --spool DIR                an oblxd spool directory (see `oblxd run`)";
+A run that must survive a kill goes through the oblxd job runtime:
+  oblxd submit --dir SPOOL (<file.ox> | --bench NAME) [--seeds …] [--moves N]
+  oblxd run --dir SPOOL --drain       (run it again after a kill to resume)";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -88,8 +74,6 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        "submit" => cmd_submit(&rest),
-        "jobs" => cmd_jobs(&rest),
         "profile" => cmd_profile(&rest),
         _ => usage(),
     }
@@ -132,185 +116,6 @@ fn print_stats(compiled: &CompiledProblem) {
     for (i, (n, e)) in s.awe_sizes.iter().enumerate() {
         println!("  awe circuit #{i}      : {n} nodes, {e} elements");
     }
-}
-
-/// Removes stale per-seed checkpoints so a non-`--resume` run starts
-/// fresh rather than silently continuing an old one.
-fn clear_checkpoints(dir: &Path) {
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let name = name.to_string_lossy();
-        if name.starts_with("seed_") && name.ends_with(".ckpt.json") {
-            let _ = std::fs::remove_file(entry.path());
-        }
-    }
-}
-
-fn parse_seeds(rest: &[&String]) -> Result<Vec<u64>, String> {
-    match opt(rest, "--seeds") {
-        Some(s) if !s.contains(',') => match s.trim().parse::<u64>() {
-            Ok(n) if n > 0 => Ok((1..=n).collect()),
-            _ => Err(format!("--seeds wants a count or a comma list, got `{s}`")),
-        },
-        Some(s) => {
-            let seeds: Vec<u64> = s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
-            if seeds.is_empty() {
-                Err(format!("--seeds parsed to an empty list from `{s}`"))
-            } else {
-                Ok(seeds)
-            }
-        }
-        None => Ok(vec![1, 2, 3]),
-    }
-}
-
-/// `astrx submit` — the thin client of the `oblxd` runtime: writes a
-/// job file into a spool directory for a daemon to pick up.
-fn cmd_submit(rest: &[&String]) -> ExitCode {
-    let Some(spool) = opt(rest, "--spool") else {
-        eprintln!("error: submit needs --spool DIR");
-        return ExitCode::from(2);
-    };
-    let (source, deck, default_name) = if let Some(name) = opt(rest, "--bench") {
-        let Some(b) = bench_suite::by_name(name) else {
-            eprintln!("error: unknown benchmark `{name}` — try `astrx list`");
-            return ExitCode::FAILURE;
-        };
-        (
-            b.source.to_string(),
-            b.deck.label().to_string(),
-            b.name.to_string(),
-        )
-    } else {
-        let Some(path) = rest.iter().enumerate().find_map(|(i, a)| {
-            let is_opt_value = i > 0 && rest[i - 1].starts_with("--");
-            (!a.starts_with("--") && !is_opt_value).then_some(a.as_str())
-        }) else {
-            eprintln!("error: submit needs a .ox file or --bench NAME");
-            return ExitCode::from(2);
-        };
-        match std::fs::read_to_string(path) {
-            Ok(text) => (text, String::new(), path.to_string()),
-            Err(e) => {
-                eprintln!("error: {path}: {e}");
-                return ExitCode::FAILURE;
-            }
-        }
-    };
-    let seeds = match parse_seeds(rest) {
-        Ok(s) => s,
-        Err(e) => {
-            eprintln!("error: {e}");
-            return ExitCode::from(2);
-        }
-    };
-    let request = jobs::JobRequest {
-        name: opt(rest, "--name")
-            .map(str::to_string)
-            .unwrap_or(default_name),
-        source,
-        deck,
-        options: SynthesisOptions {
-            moves_budget: opt(rest, "--moves")
-                .and_then(|s| s.parse().ok())
-                .unwrap_or(60_000),
-            ..SynthesisOptions::default()
-        },
-        seeds,
-        priority: opt(rest, "--priority")
-            .and_then(|s| s.parse().ok())
-            .unwrap_or(0),
-    };
-    // Validate before spooling: a malformed deck is the submitter's
-    // error and should be rejected here with line/column diagnostics,
-    // not discovered later by an oblxd worker. Benchmark submissions
-    // carry a process-deck label only the daemon can resolve, so only
-    // plain-file sources are compiled here — which is exactly the
-    // untrusted path.
-    if request.deck.is_empty() {
-        if let Err(e) = astrx_oblx::astrx::compile_source(&request.source) {
-            eprintln!("error: {}: {e}", request.name);
-            return ExitCode::FAILURE;
-        }
-    }
-    match jobs::spool_submit(Path::new(spool), request) {
-        Ok(job) => {
-            println!("{}", job.id);
-            ExitCode::SUCCESS
-        }
-        Err(e) => {
-            eprintln!("error: submit failed: {e}");
-            ExitCode::FAILURE
-        }
-    }
-}
-
-/// `astrx jobs` — lists a spool's queue, running set, and results.
-fn cmd_jobs(rest: &[&String]) -> ExitCode {
-    let Some(spool) = opt(rest, "--spool") else {
-        eprintln!("error: jobs needs --spool DIR");
-        return ExitCode::from(2);
-    };
-    let spool = Path::new(spool);
-    for (label, dir) in [("queued", "queue"), ("running", "running")] {
-        let mut jobs_in_dir: Vec<jobs::JobFile> = std::fs::read_dir(spool.join(dir))
-            .map(|entries| {
-                entries
-                    .flatten()
-                    .filter_map(|e| std::fs::read_to_string(e.path()).ok())
-                    .filter_map(|text| jobs::job_from_json(&text).ok())
-                    .collect()
-            })
-            .unwrap_or_default();
-        jobs_in_dir.sort_by(|a, b| {
-            b.request
-                .priority
-                .cmp(&a.request.priority)
-                .then(a.seq.cmp(&b.seq))
-        });
-        for job in jobs_in_dir {
-            println!(
-                "{label:<8} {} ({}): {} seed(s) × {} moves, priority {}",
-                job.id,
-                job.request.name,
-                job.request.seeds.len(),
-                job.request.options.moves_budget,
-                job.request.priority
-            );
-        }
-    }
-    if let Ok(entries) = std::fs::read_dir(spool.join("done")) {
-        for entry in entries.flatten() {
-            let Ok(text) = std::fs::read_to_string(entry.path()) else {
-                continue;
-            };
-            let Ok(record) = astrx_oblx::json::parse(&text) else {
-                continue;
-            };
-            let get = |k: &str| {
-                record
-                    .get(k)
-                    .and_then(astrx_oblx::json::Value::as_str)
-                    .unwrap_or("?")
-                    .to_string()
-            };
-            let cost = record
-                .get("fixed_cost")
-                .and_then(|v| jobs::f64_from_value(v).ok())
-                .map(|c| format!(", cost {c:.4}"))
-                .unwrap_or_default();
-            println!(
-                "done     {} ({}): {}{cost}",
-                get("id"),
-                get("name"),
-                get("status")
-            );
-        }
-    }
-    ExitCode::SUCCESS
 }
 
 /// `astrx profile` — runs one synthesis with telemetry enabled and
@@ -434,21 +239,13 @@ fn cmd_synth(rest: &[&String], benchmark: Option<bench_suite::Benchmark>) -> Exi
     let moves: usize = opt(rest, "--moves")
         .and_then(|s| s.parse().ok())
         .unwrap_or(60_000);
-    let seeds: Vec<u64> = match opt(rest, "--seeds") {
-        Some(s) if !s.contains(',') => match s.trim().parse::<u64>() {
-            Ok(n) if n > 0 => (1..=n).collect(),
-            _ => {
-                eprintln!("error: --seeds wants a count or a comma list, got `{s}`");
-                return ExitCode::from(2);
-            }
-        },
-        Some(s) => s.split(',').filter_map(|x| x.trim().parse().ok()).collect(),
-        None => vec![1, 2, 3],
+    let seeds = match opt(rest, "--seeds").map_or(Ok(vec![1, 2, 3]), jobs::parse_seeds) {
+        Ok(s) => s,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::from(2);
+        }
     };
-    if seeds.is_empty() {
-        eprintln!("error: --seeds parsed to an empty list");
-        return ExitCode::from(2);
-    }
     let threads: usize = opt(rest, "--threads")
         .and_then(|s| s.parse().ok())
         .unwrap_or(1);
@@ -463,36 +260,7 @@ fn cmd_synth(rest: &[&String], benchmark: Option<bench_suite::Benchmark>) -> Exi
         moves_budget: moves,
         ..SynthesisOptions::default()
     };
-    let checkpoint_dir = opt(rest, "--checkpoint-dir").map(PathBuf::from);
-    let checkpoint_every: usize = opt(rest, "--checkpoint-interval")
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(2_000);
-    let resume = flag(rest, "--resume");
-    if resume && checkpoint_dir.is_none() {
-        eprintln!("error: --resume needs --checkpoint-dir DIR");
-        return ExitCode::from(2);
-    }
-    if checkpoint_every == 0 {
-        eprintln!("error: --checkpoint-interval must be positive");
-        return ExitCode::from(2);
-    }
-    let outcome = match &checkpoint_dir {
-        Some(dir) => {
-            if !resume {
-                clear_checkpoints(dir);
-            }
-            jobs::synthesize_multi_resumable(
-                &compiled,
-                &opts,
-                &seeds,
-                threads,
-                dir,
-                checkpoint_every,
-            )
-        }
-        None => synthesize_multi(&compiled, &opts, &seeds, threads),
-    };
-    let multi = match outcome {
+    let multi = match synthesize_multi(&compiled, &opts, &seeds, threads) {
         Ok(m) => m,
         Err(e) => {
             eprintln!("error: every seed failed — first failure: {e}");

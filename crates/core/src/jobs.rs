@@ -1,8 +1,7 @@
-//! Job and checkpoint serialization — the on-disk contract of the
-//! `oblxd` runtime.
-//!
-//! Two file kinds are defined here so that both the service
-//! (`crates/runtime`) and thin clients (`astrx submit`) can speak them:
+//! Job and checkpoint file formats — the on-disk contract of the
+//! `oblxd` runtime. The spool that stores these files, its atomic
+//! writes and its checkpoint store live in the runtime crate
+//! (`oblx_runtime::spool`); this module only says what the files hold.
 //!
 //! * **Job files** (`format: "oblx-job"`): a synthesis request — name,
 //!   `.ox` source text, [`SynthesisOptions`], seed list, priority.
@@ -20,22 +19,16 @@
 //! serialize → parse round trip is exactly the identity on the
 //! in-memory structs. The round-trip property test in `crates/runtime`
 //! holds this module to that contract.
+//!
+//! [`parse_seeds`] is the one reading of a `--seeds` value that every
+//! command line shares.
 
-use crate::cost::EvalFailure;
 use crate::json::{self, ObjBuilder, Value};
-use crate::oblx::{
-    synthesize_controlled, synthesize_multi_with, MultiSynthesisResult, OblxState,
-    SynthesisCheckpoint, SynthesisOptions, SynthesisOutcome,
-};
+use crate::oblx::{OblxState, SynthesisCheckpoint, SynthesisOptions};
 use crate::weights::WeightsSnapshot;
-use crate::CompiledProblem;
 use oblx_anneal::{
-    AnnealCheckpoint, ClassStats, Directive, MoveStatsSnapshot, Phase, ScheduleSnapshot, Trace,
-    TracePoint,
+    AnnealCheckpoint, ClassStats, MoveStatsSnapshot, Phase, ScheduleSnapshot, Trace, TracePoint,
 };
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Version written into and required of checkpoint files.
 pub const CHECKPOINT_VERSION: i64 = 1;
@@ -584,306 +577,33 @@ pub fn job_from_json(text: &str) -> Result<JobFile, SerError> {
 }
 
 // ---------------------------------------------------------------------
-// Atomic file IO.
+// Seed lists.
 
-/// Writes `contents` to `path` atomically: the bytes land in a
-/// temporary sibling first and are renamed into place, so a reader (or
-/// a crash) never observes a torn file.
-///
-/// Every call writes through a temporary file of its own, created
-/// exclusively: two writers of one path (a seed re-run after its lease
-/// was reopened, say) can never rename each other's partial write into
-/// place. A failed write removes its temporary file.
+/// Parses a command line's `--seeds` value: a count `N` runs seeds
+/// `1..=N`, a comma list `a,b,c` runs exactly those. Every entry must be
+/// a positive integer, the rule `POST /v1/jobs` applies to its `seeds`.
 ///
 /// # Errors
 ///
-/// Any I/O error from the write or rename.
-pub fn write_atomic(path: &Path, contents: &str) -> std::io::Result<()> {
-    let tmp = write_tmp(path, contents)?;
-    std::fs::rename(&tmp, path).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
-}
-
-/// The first half of [`write_atomic`]: writes `contents` durably into a
-/// new temporary sibling of `path`, created exclusively, and returns its
-/// path, to be renamed or linked into place. A failed write removes it.
-///
-/// # Errors
-///
-/// Any I/O error from the create or the write.
-pub fn write_tmp(path: &Path, contents: &str) -> std::io::Result<PathBuf> {
-    static NEXT: AtomicU64 = AtomicU64::new(0);
-    let (tmp, mut f) = loop {
-        let tmp = tmp_sibling(path, NEXT.fetch_add(1, Ordering::Relaxed));
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&tmp)
-        {
-            Ok(f) => break (tmp, f),
-            // Left behind by an earlier process with this pid.
-            Err(e) if e.kind() == std::io::ErrorKind::AlreadyExists => continue,
-            Err(e) => return Err(e),
-        }
-    };
-    let written = f.write_all(contents.as_bytes()).and_then(|()| f.sync_all());
-    drop(f);
-    written.map(|()| tmp.clone()).inspect_err(|_| {
-        let _ = std::fs::remove_file(&tmp);
-    })
-}
-
-/// Removes the temporary siblings of `path` that [`write_tmp`] writers
-/// left behind when they died before their rename or link. A live
-/// writer's temporary file goes too, failing its rename or link, so
-/// call it only where that loses nothing: every live writer of `path`
-/// writes the same bytes, or retries.
-pub fn remove_stale_tmp_siblings(path: &Path) {
-    let (Some(dir), Some(name)) = (path.parent(), path.file_name().and_then(|n| n.to_str())) else {
-        return;
-    };
-    let prefix = format!("{name}.");
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return;
-    };
-    for entry in entries.flatten() {
-        let stale = entry
-            .file_name()
-            .to_str()
-            .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".tmp"));
-        if stale {
-            let _ = std::fs::remove_file(entry.path());
-        }
+/// A message quoting `s` when an entry is empty or not a positive
+/// integer.
+pub fn parse_seeds(s: &str) -> Result<Vec<u64>, String> {
+    let seeds = s
+        .split(',')
+        .map(|x| x.trim().parse::<u64>().ok().filter(|&n| n > 0))
+        .collect::<Option<Vec<u64>>>()
+        .ok_or_else(|| {
+            format!("--seeds wants a count or a list of positive integers, got `{s}`")
+        })?;
+    match seeds[..] {
+        [n] if !s.contains(',') => Ok((1..=n).collect()),
+        _ => Ok(seeds),
     }
-}
-
-/// The `n`-th temporary sibling of `path` in this process:
-/// `<name>.<pid>.<n>.tmp`.
-fn tmp_sibling(path: &Path, n: u64) -> PathBuf {
-    let mut name = path
-        .file_name()
-        .map(|n| n.to_string_lossy().into_owned())
-        .unwrap_or_else(|| "file".to_string());
-    name.push_str(&format!(".{}.{n}.tmp", std::process::id()));
-    path.with_file_name(name)
-}
-
-/// Loads a checkpoint file, returning `None` when the file is missing,
-/// torn, or of a foreign version — every case where the only safe
-/// answer is "start over".
-pub fn load_checkpoint(path: &Path) -> Option<SynthesisCheckpoint> {
-    let text = std::fs::read_to_string(path).ok()?;
-    checkpoint_from_json(&text).ok()
-}
-
-/// The checkpoint file path of one per-seed run under fencing token
-/// `fence`: `seed_<s>.f<fence>.ckpt.json`. The token makes stale
-/// writers harmless on shared storage: a claim-holder that lost its
-/// lease keeps writing its *own* fence's file, which can never shadow
-/// the file of the higher-fence holder that took over — readers always
-/// prefer the highest fence present ([`load_latest_checkpoint`]).
-pub fn fenced_checkpoint_path(dir: &Path, seed: u64, fence: u64) -> PathBuf {
-    dir.join(format!("seed_{seed}.f{fence}.ckpt.json"))
-}
-
-/// Fence tokens that have a checkpoint file for `seed` in `dir`, in no
-/// particular order.
-fn checkpoint_fences(dir: &Path, seed: u64) -> Vec<u64> {
-    let prefix = format!("seed_{seed}.f");
-    let Ok(entries) = std::fs::read_dir(dir) else {
-        return Vec::new();
-    };
-    let mut fences = Vec::new();
-    for entry in entries.flatten() {
-        let name = entry.file_name();
-        let Some(name) = name.to_str() else { continue };
-        if let Some(mid) = name
-            .strip_prefix(&prefix)
-            .and_then(|rest| rest.strip_suffix(".ckpt.json"))
-        {
-            if let Ok(fence) = mid.parse::<u64>() {
-                fences.push(fence);
-            }
-        }
-    }
-    fences
-}
-
-/// Loads the newest (highest-fence) valid checkpoint of `seed` in
-/// `dir`, returning it with its fence token. Torn or foreign-version
-/// files are skipped in favor of the next-newest fence.
-pub fn load_latest_checkpoint(dir: &Path, seed: u64) -> Option<(u64, SynthesisCheckpoint)> {
-    let mut fences = checkpoint_fences(dir, seed);
-    fences.sort_unstable_by(|a, b| b.cmp(a));
-    fences.into_iter().find_map(|fence| {
-        load_checkpoint(&fenced_checkpoint_path(dir, seed, fence)).map(|ck| (fence, ck))
-    })
-}
-
-/// Removes every checkpoint file of `seed` in `dir`, at every fence.
-/// Called once the seed has a durable done-record.
-pub fn remove_checkpoints(dir: &Path, seed: u64) {
-    for fence in checkpoint_fences(dir, seed) {
-        let _ = std::fs::remove_file(fenced_checkpoint_path(dir, seed, fence));
-    }
-}
-
-// ---------------------------------------------------------------------
-// Spool submission — the client side of the `oblxd` on-disk protocol.
-// The full queue/worker machinery lives in the runtime crate; the
-// submit path is here so thin clients (`astrx submit`) need only the
-// core library.
-
-/// Allocates the next submission sequence number in a spool root,
-/// protected against concurrent submitters by a lock file (stale locks
-/// older than 5 s are broken).
-///
-/// # Errors
-///
-/// Any I/O error, or lock starvation.
-pub fn spool_next_seq(root: &Path) -> std::io::Result<u64> {
-    use std::io;
-    let lock = root.join("seq.lock");
-    let seq_path = root.join("seq");
-    for _ in 0..5000 {
-        match std::fs::OpenOptions::new()
-            .write(true)
-            .create_new(true)
-            .open(&lock)
-        {
-            Ok(_) => {
-                let next = std::fs::read_to_string(&seq_path)
-                    .ok()
-                    .and_then(|s| s.trim().parse::<u64>().ok())
-                    .unwrap_or(0)
-                    + 1;
-                let res = write_atomic(&seq_path, &next.to_string());
-                let _ = std::fs::remove_file(&lock);
-                return res.map(|()| next);
-            }
-            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
-                let stale = std::fs::metadata(&lock)
-                    .and_then(|m| m.modified())
-                    .ok()
-                    .and_then(|m| m.elapsed().ok())
-                    .is_some_and(|age| age.as_secs() >= 5);
-                if stale {
-                    let _ = std::fs::remove_file(&lock);
-                } else {
-                    std::thread::sleep(std::time::Duration::from_millis(1));
-                }
-            }
-            Err(e) => return Err(e),
-        }
-    }
-    Err(std::io::Error::other("seq lock busy"))
-}
-
-/// Submits a job into the spool rooted at `root`: assigns the next id
-/// and writes `queue/<id>.json` atomically. Creates the spool
-/// directories as needed — a client can submit before the daemon's
-/// first start.
-///
-/// # Errors
-///
-/// Any I/O error.
-pub fn spool_submit(root: &Path, request: JobRequest) -> std::io::Result<JobFile> {
-    let queue = root.join("queue");
-    std::fs::create_dir_all(&queue)?;
-    let seq = spool_next_seq(root)?;
-    let job = JobFile {
-        id: format!("j{seq:06}"),
-        seq,
-        request,
-    };
-    write_atomic(&queue.join(format!("{}.json", job.id)), &job_to_json(&job))?;
-    Ok(job)
-}
-
-// ---------------------------------------------------------------------
-// Checkpointed multi-seed synthesis.
-
-/// [`crate::oblx::synthesize_multi`] with per-seed checkpointing: every
-/// `every` proposals each per-seed run writes its checkpoint to
-/// `dir/seed_<seed>.f1.ckpt.json` (atomically, at fence 1), and any run
-/// whose checkpoint file already exists resumes from it instead of
-/// starting over. Checkpoints of completed seeds are removed. A run
-/// killed at any instant therefore loses at most `every` proposals of
-/// work, and the final result is bit-identical to an uninterrupted run.
-///
-/// # Panics
-///
-/// If `seeds` is empty or `every` is zero.
-///
-/// # Errors
-///
-/// As for [`crate::oblx::synthesize_multi`].
-pub fn synthesize_multi_resumable(
-    compiled: &CompiledProblem,
-    opts: &SynthesisOptions,
-    seeds: &[u64],
-    threads: usize,
-    dir: &Path,
-    every: usize,
-) -> Result<MultiSynthesisResult, EvalFailure> {
-    assert!(every > 0, "checkpoint interval must be positive");
-    std::fs::create_dir_all(dir).ok();
-    synthesize_multi_with(compiled, opts, seeds, threads, |seed, run_opts| {
-        let outcome =
-            run_seed_resumable(compiled, run_opts, dir, every, 1, |_| Directive::Continue)?;
-        match outcome {
-            SynthesisOutcome::Complete(r) => {
-                remove_checkpoints(dir, seed);
-                Ok(*r)
-            }
-            SynthesisOutcome::Interrupted(_) => {
-                unreachable!("control always continues")
-            }
-        }
-    })
-}
-
-/// Runs one seed with checkpointing into `dir` under fencing token
-/// `fence`: checkpoints are written to [`fenced_checkpoint_path`] for
-/// `fence`, and the run resumes from the highest-fence valid checkpoint
-/// present — which is at most `fence` itself for the current
-/// claim-holder, or a lower fence left by a previous (possibly
-/// still-zombie) holder. Resuming from a zombie's last checkpoint is
-/// always safe: resume is bit-identical, so redoing the zombie's
-/// unpublished tail work reproduces it exactly. `control` is consulted
-/// at every checkpoint (after it has been persisted); returning
-/// [`Directive::Stop`] aborts the run, yielding
-/// [`SynthesisOutcome::Interrupted`] — the checkpoint file stays behind
-/// for the next resume.
-///
-/// # Errors
-///
-/// [`EvalFailure`] as for [`synthesize_controlled`].
-pub fn run_seed_resumable(
-    compiled: &CompiledProblem,
-    run_opts: &SynthesisOptions,
-    dir: &Path,
-    every: usize,
-    fence: u64,
-    mut control: impl FnMut(&SynthesisCheckpoint) -> Directive,
-) -> Result<SynthesisOutcome, EvalFailure> {
-    let path = fenced_checkpoint_path(dir, run_opts.seed, fence);
-    let resume = load_latest_checkpoint(dir, run_opts.seed)
-        .filter(|(f, ck)| {
-            *f <= fence && ck.seed == run_opts.seed && ck.moves_budget == run_opts.moves_budget
-        })
-        .map(|(_, ck)| ck);
-    synthesize_controlled(compiled, run_opts, resume.as_ref(), every, |ck| {
-        let _ = write_atomic(&path, &checkpoint_to_json(ck));
-        control(ck)
-    })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicBool;
 
     fn request() -> JobRequest {
         JobRequest {
@@ -943,78 +663,12 @@ mod tests {
     }
 
     #[test]
-    fn atomic_write_replaces_not_tears() {
-        let dir = std::env::temp_dir().join(format!("oblx-jobs-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("ck.json");
-        write_atomic(&path, "first").unwrap();
-        write_atomic(&path, "second").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
-        // A stray tmp file from a crashed writer is not the real file.
-        std::fs::write(tmp_sibling(&path, 0), "garbage").unwrap();
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
-        // Removing stale siblings takes it and nothing else.
-        std::fs::write(dir.join("ck.json.other"), "kept").unwrap();
-        remove_stale_tmp_siblings(&path);
-        let mut left: Vec<String> = std::fs::read_dir(&dir)
-            .unwrap()
-            .flatten()
-            .map(|e| e.file_name().to_string_lossy().into_owned())
-            .collect();
-        left.sort();
-        assert_eq!(left, ["ck.json", "ck.json.other"]);
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    /// Two threads rewrite one path while a third reads it: every read
-    /// sees one writer's complete contents, and every write succeeds.
-    #[test]
-    fn concurrent_atomic_writers_never_tear_a_file() {
-        let dir = std::env::temp_dir().join(format!("oblx-jobs-race-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("seed_1.done.json");
-        let bodies = ["a".repeat(64 * 1024), "b".repeat(64 * 1024)];
-        write_atomic(&path, &bodies[0]).unwrap();
-        let done = AtomicBool::new(false);
-        std::thread::scope(|scope| {
-            let writers: Vec<_> = bodies
-                .iter()
-                .map(|body| {
-                    let path = &path;
-                    scope.spawn(move || {
-                        for _ in 0..100 {
-                            write_atomic(path, body).expect("every write lands");
-                        }
-                    })
-                })
-                .collect();
-            let reader = scope.spawn(|| {
-                let mut reads = 0;
-                while !done.load(Ordering::Relaxed) {
-                    let text = std::fs::read_to_string(&path).unwrap();
-                    assert!(bodies.contains(&text), "torn read of {} bytes", text.len());
-                    reads += 1;
-                }
-                reads
-            });
-            // Stop the reader before reporting a writer's failure.
-            let writes: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
-            done.store(true, Ordering::Relaxed);
-            let reads = reader.join();
-            assert!(writes.into_iter().all(|w| w.is_ok()), "a write failed");
-            assert!(reads.expect("no torn read") > 0);
-        });
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
-    fn corrupt_checkpoint_loads_as_none() {
-        let dir = std::env::temp_dir().join(format!("oblx-ckpt-test-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = fenced_checkpoint_path(&dir, 3, 1);
-        assert!(load_checkpoint(&path).is_none(), "missing file");
-        std::fs::write(&path, "{\"format\":\"oblx-checkpoint\",\"version\":1,").unwrap();
-        assert!(load_checkpoint(&path).is_none(), "torn file");
-        std::fs::remove_dir_all(&dir).unwrap();
+    fn seed_lists_take_a_count_or_positive_entries() {
+        assert_eq!(parse_seeds("3"), Ok(vec![1, 2, 3]));
+        assert_eq!(parse_seeds("2,7,19"), Ok(vec![2, 7, 19]));
+        for bad in ["1,x,3", "0,1", "", "0", ",", "2,"] {
+            let err = parse_seeds(bad).unwrap_err();
+            assert!(err.contains(&format!("`{bad}`")), "{bad}: {err}");
+        }
     }
 }

@@ -801,8 +801,7 @@ pub struct MultiSynthesisResult {
 ///
 /// Each per-seed run is completely independent (its own evaluator,
 /// weights and RNG), so the outcome is bit-identical for any thread
-/// count; ties on `fixed_cost` break toward the earlier seed in
-/// `seeds`.
+/// count; [`pick_winner`] chooses the best run.
 ///
 /// # Panics
 ///
@@ -818,37 +817,6 @@ pub fn synthesize_multi(
     seeds: &[u64],
     threads: usize,
 ) -> Result<MultiSynthesisResult, crate::cost::EvalFailure> {
-    synthesize_multi_with(compiled, opts, seeds, threads, |_, run_opts| {
-        synthesize(compiled, run_opts)
-    })
-}
-
-/// The generalized multi-seed driver behind [`synthesize_multi`]:
-/// `run_one(seed, opts)` performs one per-seed run (it may checkpoint,
-/// resume, or emit events around the core synthesis — the runtime crate
-/// does all three), and the driver distributes seeds over up to
-/// `threads` workers and aggregates outcomes exactly as
-/// [`synthesize_multi`] does, preserving its thread-invariance
-/// guarantee as long as `run_one` is per-seed deterministic.
-///
-/// # Panics
-///
-/// If `seeds` is empty.
-///
-/// # Errors
-///
-/// The first failing seed's [`crate::cost::EvalFailure`] if *every*
-/// seed fails.
-pub fn synthesize_multi_with<F>(
-    compiled: &CompiledProblem,
-    opts: &SynthesisOptions,
-    seeds: &[u64],
-    threads: usize,
-    run_one: F,
-) -> Result<MultiSynthesisResult, crate::cost::EvalFailure>
-where
-    F: Fn(u64, &SynthesisOptions) -> Result<SynthesisResult, crate::cost::EvalFailure> + Sync,
-{
     assert!(
         !seeds.is_empty(),
         "synthesize_multi needs at least one seed"
@@ -869,26 +837,24 @@ where
                     seed: seeds[i],
                     ..opts.clone()
                 };
-                let outcome = run_one(seeds[i], &run_opts);
-                *slots[i].lock().unwrap() = Some(outcome);
+                *slots[i].lock().unwrap() = Some(synthesize(compiled, &run_opts));
             });
         }
     });
 
     let mut runs = Vec::with_capacity(seeds.len());
-    let mut best: Option<(f64, usize, SynthesisResult)> = None;
+    let mut results = Vec::with_capacity(seeds.len());
     let mut first_err = None;
-    for (i, (&seed, slot)) in seeds.iter().zip(slots).enumerate() {
+    for (&seed, slot) in seeds.iter().zip(slots) {
         let outcome = slot
             .into_inner()
             .unwrap()
             .expect("worker pool covered every seed");
         match outcome {
             Ok(r) => {
-                let fc = fixed_cost(compiled, &r.state);
                 runs.push(SeedRunStats {
                     seed,
-                    fixed_cost: fc,
+                    fixed_cost: fixed_cost(compiled, &r.state),
                     best_cost: r.best_cost,
                     kcl_max: r.kcl_max,
                     evaluations: r.evaluations,
@@ -897,10 +863,7 @@ where
                     cache_hit_ratio: r.cache_hit_ratio,
                     failed: false,
                 });
-                let key = if fc.is_nan() { f64::INFINITY } else { fc };
-                if best.as_ref().is_none_or(|(bk, _, _)| key < *bk) {
-                    best = Some((key, i, r));
-                }
+                results.push(Some(r));
             }
             Err(e) => {
                 runs.push(SeedRunStats {
@@ -914,22 +877,41 @@ where
                     cache_hit_ratio: 0.0,
                     failed: true,
                 });
-                if first_err.is_none() {
-                    first_err = Some(e);
-                }
+                results.push(None);
+                first_err.get_or_insert(e);
             }
         }
     }
-    match best {
-        Some((_, i, r)) => Ok(MultiSynthesisResult {
-            best: r,
+    match pick_winner(runs.iter().map(|r| (!r.failed).then_some(r.fixed_cost))) {
+        Some(i) => Ok(MultiSynthesisResult {
+            best: results[i].take().expect("the winner ran"),
             best_seed: seeds[i],
             runs,
             wall_seconds: start.elapsed().as_secs_f64(),
             threads: workers,
         }),
-        None => Err(first_err.expect("no best implies at least one error")),
+        None => Err(first_err.expect("no winner implies at least one error")),
     }
+}
+
+/// The winner rule over the runs of one multi-seed synthesis, given each
+/// run's [`fixed_cost`] in seed-list order (`None` for a failed run):
+/// the lowest cost wins, NaN ranks last, and ties go to the earlier
+/// seed. Returns the winner's index, or `None` when every run failed.
+/// The rule depends on the costs alone, never on the order in which
+/// runs finish, so neither the thread count nor the host that ran a seed
+/// can change the answer; [`synthesize_multi`] and the `oblxd` worker
+/// pool both call it.
+pub fn pick_winner(fixed_costs: impl IntoIterator<Item = Option<f64>>) -> Option<usize> {
+    let mut best: Option<(f64, usize)> = None;
+    for (i, cost) in fixed_costs.into_iter().enumerate() {
+        let Some(cost) = cost else { continue };
+        let key = if cost.is_nan() { f64::INFINITY } else { cost };
+        if best.is_none_or(|(bk, _)| key < bk) {
+            best = Some((key, i));
+        }
+    }
+    best.map(|(_, i)| i)
 }
 
 /// The user-variable assignment of a state, as a map.

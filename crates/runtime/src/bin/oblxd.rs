@@ -13,7 +13,9 @@
 //! core by default) and, in `--drain` mode, exits when the spool is
 //! empty. A killed `run` restarted over the same spool with the same
 //! host id recovers that host's orphaned jobs and seeds and resumes
-//! them from their last checkpoints, bit-identically.
+//! them from their last checkpoints, bit-identically. `status` shows
+//! the queue, the running jobs, the workers and every finished job
+//! with its cost.
 //!
 //! Several daemons may share one spool directory (NFS-style): each
 //! needs a distinct `--host-id` (defaults to the hostname), claims
@@ -22,7 +24,7 @@
 //! host id, and a dead peer's work is the cluster reaper's once that
 //! peer's beat has stopped for `--lease-timeout`.
 
-use astrx_oblx::jobs::JobRequest;
+use astrx_oblx::jobs::{self, JobRequest};
 use astrx_oblx::{bench_suite, SynthesisOptions};
 use oblx_runtime::events::{last_metrics, render_metrics, status, EventLog};
 use oblx_runtime::pool::{self, PoolOptions};
@@ -92,24 +94,6 @@ fn opt<'a>(rest: &'a [&String], name: &str) -> Option<&'a str> {
         .map(|s| s.as_str())
 }
 
-fn parse_seeds(rest: &[&String]) -> Result<Vec<u64>, String> {
-    match opt(rest, "--seeds") {
-        Some(s) if !s.contains(',') => match s.trim().parse::<u64>() {
-            Ok(n) if n > 0 => Ok((1..=n).collect()),
-            _ => Err(format!("--seeds wants a count or a comma list, got `{s}`")),
-        },
-        Some(s) => {
-            let seeds: Vec<u64> = s.split(',').filter_map(|x| x.trim().parse().ok()).collect();
-            if seeds.is_empty() {
-                Err(format!("--seeds parsed to an empty list from `{s}`"))
-            } else {
-                Ok(seeds)
-            }
-        }
-        None => Ok(vec![1, 2, 3]),
-    }
-}
-
 fn cmd_submit(spool: &Spool, rest: &[&String]) -> ExitCode {
     let (source, deck, default_name) = if let Some(name) = opt(rest, "--bench") {
         let Some(b) = bench_suite::by_name(name) else {
@@ -134,7 +118,7 @@ fn cmd_submit(spool: &Spool, rest: &[&String]) -> ExitCode {
             }
         }
     };
-    let seeds = match parse_seeds(rest) {
+    let seeds = match opt(rest, "--seeds").map_or(Ok(vec![1, 2, 3]), jobs::parse_seeds) {
         Ok(s) => s,
         Err(e) => {
             eprintln!("error: {e}");

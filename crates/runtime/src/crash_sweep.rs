@@ -17,7 +17,9 @@
 //! * each job has exactly one terminal record, equal on
 //!   [`RESULT_FIELDS`] to an uninterrupted run's;
 //! * `queue/`, `running/`, `leases/`, `seeds/` and `ckpt/` end empty,
-//!   temporary files included, and `done/` holds the records alone.
+//!   temporary files included, and `done/` holds the records alone;
+//! * a seed whose done record was on disk at the crash never starts
+//!   again: its job's log gains no `seed_started` for it.
 //!
 //! Two setups. In [`Setup::Solo`], host `a` claims, shards and runs both
 //! jobs on one worker. In [`Setup::Stolen`], host `b` has claimed and
@@ -29,9 +31,10 @@
 //! `cargo test --release -p oblx-runtime --lib crash_sweep -- --ignored
 //! --nocapture`.
 
+use crate::events::EventLog;
 use crate::pool::{self, PoolOptions};
 use crate::spool::Spool;
-use astrx_oblx::jobs::JobRequest;
+use astrx_oblx::jobs::{self, JobRequest};
 use astrx_oblx::json::Value;
 use astrx_oblx::SynthesisOptions;
 use std::path::{Path, PathBuf};
@@ -68,6 +71,9 @@ const RESULT_FIELDS: [&str; 6] = [
     "state",
 ];
 
+/// The seeds of the two jobs.
+const SEEDS: [[u64; 2]; 2] = [[1, 2], [3, 4]];
+
 const HOUR: Duration = Duration::from_secs(3600);
 const PEER_TIMEOUT: Duration = Duration::from_millis(200);
 const DEADLINE: Duration = Duration::from_secs(30);
@@ -93,7 +99,7 @@ fn scratch(tag: &str) -> PathBuf {
 /// Returns the job ids.
 fn prepare(dir: &Path, setup: Setup) -> Vec<String> {
     let spool = Spool::open(dir).unwrap().with_host("b");
-    let ids = [[1, 2], [3, 4]].map(|seeds| {
+    let ids = SEEDS.map(|seeds| {
         let request = JobRequest {
             name: format!("rc-{}", seeds[0]),
             source: RC_LOWPASS.to_string(),
@@ -189,6 +195,32 @@ fn converged(spool: &Spool, ids: &[String], reference: &[Value]) -> Result<(), S
     Ok(())
 }
 
+/// How many times job `id`'s log says seed `seed` started.
+fn starts(spool: &Spool, id: &str, seed: u64) -> usize {
+    let seed = jobs::u64_to_value(seed);
+    EventLog::open(spool, id)
+        .read()
+        .iter()
+        .filter(|e| {
+            e.get("event").and_then(Value::as_str) == Some("seed_started")
+                && e.get("seed") == Some(&seed)
+        })
+        .count()
+}
+
+/// The seeds whose done record is on disk, each with its start count.
+fn finished_seeds(spool: &Spool, ids: &[String]) -> Vec<(String, u64, usize)> {
+    let mut out = Vec::new();
+    for (id, seeds) in ids.iter().zip(SEEDS) {
+        for seed in seeds {
+            if spool.seed_done_path(id, seed).exists() {
+                out.push((id.clone(), seed, starts(spool, id, seed)));
+            }
+        }
+    }
+    out
+}
+
 fn copy_dir(from: &Path, to: &Path) {
     std::fs::create_dir_all(to).unwrap();
     for entry in std::fs::read_dir(from).unwrap().flatten() {
@@ -239,6 +271,7 @@ fn crash_at(setup: Setup, k: usize, reference: &[Value]) -> Result<(), String> {
     if let Some(id) = ids.iter().find(|id| !findable(&a, id)) {
         return Err(format!("{id} is nowhere before recovery"));
     }
+    let finished = finished_seeds(&a, &ids);
     for (host, lease_timeout) in [("a", HOUR), ("peer", PEER_TIMEOUT)] {
         let root = dir.join(host);
         copy_dir(&crashed, &root);
@@ -248,6 +281,14 @@ fn crash_at(setup: Setup, k: usize, reference: &[Value]) -> Result<(), String> {
             return Err(format!("recovery by `{host}` stalled"));
         }
         converged(&spool, &ids, reference).map_err(|e| format!("after `{host}`: {e}"))?;
+        if let Some((id, seed, _)) = finished
+            .iter()
+            .find(|(id, s, n)| starts(&spool, id, *s) != *n)
+        {
+            return Err(format!(
+                "after `{host}`: {id} seed {seed} ran again after its done record"
+            ));
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
     Ok(())

@@ -284,10 +284,10 @@ pub struct Status {
     pub queued: Vec<(String, String, i64, usize)>,
     /// Claimed jobs with their per-seed progress.
     pub running: Vec<JobProgress>,
-    /// Finished jobs that produced a result.
-    pub done_ok: usize,
-    /// Finished jobs that failed.
-    pub done_failed: usize,
+    /// Finished jobs by id, as `(id, name, status, fixed_cost)`: the
+    /// status is `ok` or `failed`, and the cost is the winning seed's
+    /// (none for a failed job).
+    pub done: Vec<(String, String, String, Option<f64>)>,
     /// Jobs retired into the `cancelled` terminal state.
     pub cancelled: usize,
     /// Live worker states, across every host that wrote a host file.
@@ -314,13 +314,14 @@ impl Status {
     /// Renders the human-readable status report.
     pub fn render(&self) -> String {
         let mut out = String::new();
+        let done_ok = self.done.iter().filter(|d| d.2 == "ok").count();
         let _ = writeln!(
             out,
             "queue depth {}   running {}   done {} ok / {} failed   cancelled {}",
             self.queue_depth(),
             self.running.len(),
-            self.done_ok,
-            self.done_failed,
+            done_ok,
+            self.done.len() - done_ok,
             self.cancelled
         );
         match self.utilization() {
@@ -381,6 +382,10 @@ impl Status {
                 "  queued  {id} ({name}): {seeds} seed(s), priority {priority}"
             );
         }
+        for (id, name, status, cost) in &self.done {
+            let cost = cost.map(|c| format!(", cost {c:.4}")).unwrap_or_default();
+            let _ = writeln!(out, "  done    {id} ({name}): {status}{cost}");
+        }
         out
     }
 }
@@ -440,23 +445,27 @@ pub fn status(spool: &Spool) -> Status {
         .iter()
         .map(|j| job_progress(spool, j))
         .collect();
-    let (mut done_ok, mut done_failed) = (0, 0);
-    for id in spool.done_ids() {
-        match spool
-            .done(&id)
-            .as_ref()
-            .and_then(|r| r.get("status").and_then(Value::as_str).map(str::to_string))
-        {
-            Some(s) if s == "ok" => done_ok += 1,
-            _ => done_failed += 1,
-        }
-    }
+    let done = spool
+        .done_ids()
+        .into_iter()
+        .map(|id| {
+            let record = spool.done(&id);
+            let field = |key: &str| -> Option<&Value> { record.as_ref()?.get(key) };
+            let text = |key: &str| {
+                field(key)
+                    .and_then(Value::as_str)
+                    .unwrap_or("?")
+                    .to_string()
+            };
+            let cost = field("fixed_cost").and_then(|v| jobs::f64_from_value(v).ok());
+            (id, text("name"), text("status"), cost)
+        })
+        .collect();
     let workers = read_workers(spool);
     Status {
         queued,
         running,
-        done_ok,
-        done_failed,
+        done,
         cancelled: spool.cancelled_ids().len(),
         workers,
         hosts: spool.hosts(),
@@ -573,6 +582,12 @@ mod tests {
             &[("seed", "1".into()), ("attempted", 400usize.into())],
         );
         log.emit("seed_done", &[("seed", "2".into())]);
+        let record = ObjBuilder::new()
+            .field("name", "finished")
+            .field("status", "ok")
+            .field("fixed_cost", jobs::f64_to_value(1.5))
+            .build();
+        spool.complete("j000009", &record).unwrap();
 
         let s = status(&spool);
         assert_eq!(s.queue_depth(), 1);
@@ -580,7 +595,13 @@ mod tests {
         assert_eq!(s.running[0].seeds_done, 1);
         assert_eq!(s.running[0].seed_attempted.get(&1), Some(&400));
         assert_eq!(s.utilization(), None, "no worker snapshot yet");
-        assert!(s.render().contains("queue depth 1"));
+        let text = s.render();
+        assert!(text.contains("queue depth 1"));
+        assert!(text.contains("done 1 ok / 0 failed"), "{text}");
+        assert!(
+            text.contains("  done    j000009 (finished): ok, cost 1.5000\n"),
+            "{text}"
+        );
         std::fs::remove_dir_all(spool.root()).unwrap();
     }
 }

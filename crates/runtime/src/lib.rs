@@ -16,7 +16,9 @@
 //!   still drains fairly.
 //! * Checkpoint/restore — every per-seed run persists a full
 //!   [`astrx_oblx::SynthesisCheckpoint`] (engine, RNG, schedule,
-//!   adaptive weights, trace) every N proposals. A killed daemon
+//!   adaptive weights, trace) every N proposals into the spool's
+//!   checkpoint store (`ckpt/<id>/`, one fence-named file per seed; see
+//!   [`spool::Spool::checkpoint_path`]). A killed daemon
 //!   restarted over the same spool resumes every interrupted seed from
 //!   its last checkpoint and produces **bit-identical** final results —
 //!   the integration tests SIGKILL the daemon mid-run and diff the

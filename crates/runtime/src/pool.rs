@@ -34,11 +34,13 @@ use crate::events::EventLog;
 use crate::spool::{ClaimCursor, LeaseName, SeedEntry, Spool};
 use astrx_oblx::jobs::{self, JobFile};
 use astrx_oblx::json::{ObjBuilder, Value};
-use astrx_oblx::oblx::{fixed_cost, OblxState};
-use astrx_oblx::{CompiledProblem, SynthesisOptions, SynthesisOutcome};
+use astrx_oblx::oblx::{fixed_cost, pick_winner, synthesize_controlled, OblxState};
+use astrx_oblx::{
+    CompiledProblem, EvalFailure, SynthesisCheckpoint, SynthesisOptions, SynthesisOutcome,
+};
 use oblx_anneal::Directive;
 use std::collections::{HashMap, VecDeque};
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
@@ -352,13 +354,12 @@ fn claim_and_shard(shared: &Shared<'_>, job: JobFile) {
             return;
         }
     };
-    let ckdir = spool.ckpt_dir(&job.id);
-    let _ = std::fs::create_dir_all(&ckdir);
+    let _ = std::fs::create_dir_all(spool.ckpt_dir(&job.id));
     let replayed = job
         .request
         .seeds
         .iter()
-        .filter(|&&s| seed_done_path(&ckdir, s).exists())
+        .filter(|&&s| spool.seed_done_path(&job.id, s).exists())
         .count();
     let _ = spool.shard_job(&job);
     log.emit(
@@ -415,6 +416,16 @@ fn run_seed_entry(shared: &Shared<'_>, w: usize, entry: SeedEntry) {
         shared.inflight.fetch_sub(1, Ordering::SeqCst);
         return;
     };
+    if spool.seed_done_path(&entry.job, seed).exists() {
+        // Its runner was killed between the done record and
+        // `finish_seed`: the seed is finished, so retire the entry from
+        // its record, as `Spool::shard_job` skips it, instead of
+        // annealing the whole seed again.
+        spool.finish_seed(&entry);
+        maybe_finalize(shared, &prep.file);
+        shared.inflight.fetch_sub(1, Ordering::SeqCst);
+        return;
+    }
     let log = EventLog::open(spool, &entry.job);
     if let Some(lease) = spool.read_lease(&LeaseName::job(&entry.job)) {
         if lease.owner != spool.host() {
@@ -452,8 +463,7 @@ fn run_seed_entry(shared: &Shared<'_>, w: usize, entry: SeedEntry) {
         seed,
         ..prep.file.request.options.clone()
     };
-    let ckdir = spool.ckpt_dir(&entry.job);
-    let _ = std::fs::create_dir_all(&ckdir);
+    let _ = std::fs::create_dir_all(spool.ckpt_dir(&entry.job));
     // A panicking seed (a bug, or pathological numerics) must not
     // unwind through `std::thread::scope` and take the whole daemon —
     // and every sibling seed — down with it. Catch it and record the
@@ -461,10 +471,11 @@ fn run_seed_entry(shared: &Shared<'_>, w: usize, entry: SeedEntry) {
     // no result either way.
     let mut cause = StopCause::Ran;
     let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        jobs::run_seed_resumable(
+        run_seed_resumable(
+            spool,
             &prep.compiled,
             &run_opts,
-            &ckdir,
+            &entry.job,
             shared.opts.checkpoint_every,
             entry.fence,
             |ck| {
@@ -559,11 +570,9 @@ fn run_seed_entry(shared: &Shared<'_>, w: usize, entry: SeedEntry) {
         }
     };
     if let Some(record) = record {
-        let _ = spool.write(&seed_done_path(&ckdir, seed), &seed_record_to_json(&record));
-        let _ = spool.apply(|| {
-            jobs::remove_checkpoints(&ckdir, seed);
-            Ok(())
-        });
+        let done = spool.seed_done_path(&entry.job, seed);
+        let _ = spool.write(&done, &seed_record_to_json(&record));
+        spool.remove_checkpoints(&entry.job, seed);
         log.emit(
             "seed_done",
             &[
@@ -584,6 +593,41 @@ fn run_seed_entry(shared: &Shared<'_>, w: usize, entry: SeedEntry) {
         s.seed = None;
         s.tasks_done += 1;
     });
+}
+
+/// Runs seed `run_opts.seed` of job `job` with checkpointing under
+/// fencing token `fence`: every `every` proposals its checkpoint is
+/// written to [`Spool::checkpoint_path`] for `fence` (a failed write
+/// is ignored: the next one retries), and the run resumes from the
+/// highest-fence valid checkpoint present — which is at most `fence`
+/// itself for the current claim-holder, or a lower fence left by a
+/// previous (possibly still-zombie) holder. Resuming from a zombie's
+/// last checkpoint is always safe: resume is bit-identical, so redoing
+/// the zombie's unpublished tail work reproduces it exactly. `control`
+/// is consulted at every checkpoint (after it has been persisted);
+/// returning [`Directive::Stop`] aborts the run, yielding
+/// [`SynthesisOutcome::Interrupted`] — the checkpoint file stays behind
+/// for the next resume.
+fn run_seed_resumable(
+    spool: &Spool,
+    compiled: &CompiledProblem,
+    run_opts: &SynthesisOptions,
+    job: &str,
+    every: usize,
+    fence: u64,
+    mut control: impl FnMut(&SynthesisCheckpoint) -> Directive,
+) -> Result<SynthesisOutcome, EvalFailure> {
+    let path = spool.checkpoint_path(job, run_opts.seed, fence);
+    let resume = spool
+        .load_latest_checkpoint(job, run_opts.seed)
+        .filter(|(f, ck)| {
+            *f <= fence && ck.seed == run_opts.seed && ck.moves_budget == run_opts.moves_budget
+        })
+        .map(|(_, ck)| ck);
+    synthesize_controlled(compiled, run_opts, resume.as_ref(), every, |ck| {
+        let _ = spool.write(&path, &jobs::checkpoint_to_json(ck));
+        control(ck)
+    })
 }
 
 /// Retires a tombstoned job once no live seed entry (any host's)
@@ -620,17 +664,16 @@ fn maybe_finalize(shared: &Shared<'_>, file: &JobFile) {
 
 /// Whether every seed of the job carries a done record.
 fn all_seeds_done(spool: &Spool, file: &JobFile) -> bool {
-    let ckdir = spool.ckpt_dir(&file.id);
     file.request
         .seeds
         .iter()
-        .all(|&s| seed_done_path(&ckdir, s).exists())
+        .all(|&s| spool.seed_done_path(&file.id, s).exists())
 }
 
-/// Aggregates the per-seed done records into the job's result file —
-/// exactly [`astrx_oblx::oblx::synthesize_multi`]'s winner rule: lowest
-/// frozen-final cost, NaN last, ties to the earlier seed in the list.
-/// The caller must hold the finalize claim (the parked job spec).
+/// Aggregates the per-seed done records into the job's result file,
+/// under the winner rule of [`astrx_oblx::oblx::synthesize_multi`]
+/// ([`pick_winner`]). The caller must hold the finalize claim (the
+/// parked job spec).
 ///
 /// A done record that exists but does not read back fails the job, with
 /// an error naming its seed: a result never leaves out a requested run.
@@ -638,12 +681,11 @@ fn all_seeds_done(spool: &Spool, file: &JobFile) -> bool {
 /// and the record will not change.
 fn finalize_from(shared: &Shared<'_>, file: &JobFile) {
     let spool = shared.spool;
-    let ckdir = spool.ckpt_dir(&file.id);
     let (records, error) = match file
         .request
         .seeds
         .iter()
-        .map(|&s| read_seed_done(&ckdir, s).ok_or(s))
+        .map(|&s| read_seed_done(&spool.seed_done_path(&file.id, s)).ok_or(s))
         .collect::<Result<Vec<SeedRecord>, u64>>()
     {
         Ok(records) => (records, "every seed failed".to_string()),
@@ -652,20 +694,7 @@ fn finalize_from(shared: &Shared<'_>, file: &JobFile) {
             format!("seed {seed}: done record is unreadable"),
         ),
     };
-    let mut best: Option<(f64, usize)> = None;
-    for (i, rec) in records.iter().enumerate() {
-        if rec.failed {
-            continue;
-        }
-        let key = if rec.fixed_cost.is_nan() {
-            f64::INFINITY
-        } else {
-            rec.fixed_cost
-        };
-        if best.is_none_or(|(bk, _)| key < bk) {
-            best = Some((key, i));
-        }
-    }
+    let best = pick_winner(records.iter().map(|r| (!r.failed).then_some(r.fixed_cost)));
     let runs: Vec<Value> = records
         .iter()
         .map(|r| {
@@ -686,7 +715,7 @@ fn finalize_from(shared: &Shared<'_>, file: &JobFile) {
         .field("name", file.request.name.as_str());
     let status;
     match best {
-        Some((_, i)) => {
+        Some(i) => {
             let r = &records[i];
             status = "ok";
             record = record
@@ -881,10 +910,6 @@ fn write_host(shared: &Shared<'_>, update: impl FnOnce(&mut HostState)) {
     shared.spool.write_host(host.beat, rows);
 }
 
-fn seed_done_path(ckdir: &Path, seed: u64) -> PathBuf {
-    ckdir.join(format!("seed_{seed}.done.json"))
-}
-
 fn seed_record_to_json(r: &SeedRecord) -> String {
     ObjBuilder::new()
         .field("format", "oblx-seed-result")
@@ -921,8 +946,8 @@ fn seed_record_to_json(r: &SeedRecord) -> String {
         .to_json()
 }
 
-fn read_seed_done(ckdir: &Path, seed: u64) -> Option<SeedRecord> {
-    let text = std::fs::read_to_string(seed_done_path(ckdir, seed)).ok()?;
+fn read_seed_done(path: &Path) -> Option<SeedRecord> {
+    let text = std::fs::read_to_string(path).ok()?;
     let v = astrx_oblx::json::parse(&text).ok()?;
     if v.get("format")?.as_str()? != "oblx-seed-result" || v.get("version")?.as_int()? != 1 {
         return None;
@@ -954,6 +979,7 @@ fn read_seed_done(ckdir: &Path, seed: u64) -> Option<SeedRecord> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spool::write_atomic;
     use astrx_oblx::jobs::JobRequest;
 
     const DIFFAMP: &str = include_str!("../../core/src/testdata/diffamp.ox");
@@ -1018,8 +1044,8 @@ mod tests {
             .unwrap();
         assert!(spool.claim_seed(&entry));
         std::fs::create_dir_all(spool.ckpt_dir(job)).unwrap();
-        jobs::write_atomic(
-            &seed_done_path(&spool.ckpt_dir(job), seed),
+        write_atomic(
+            &spool.seed_done_path(job, seed),
             &seed_record_to_json(&failed_seed_record(seed)),
         )
         .unwrap();
@@ -1099,7 +1125,7 @@ mod tests {
         // A tombstone landing after submit but before any worker claims
         // (as `Spool::cancel` leaves behind when it loses the dequeue
         // race): the pool must retire the job without running a seed.
-        jobs::write_atomic(&spool.tombstone_path(&job.id), "").unwrap();
+        write_atomic(&spool.tombstone_path(&job.id), "").unwrap();
         let stats = run(&spool, &drain_opts(1), &AtomicBool::new(false));
         assert_eq!(stats.jobs_cancelled, 1);
         assert_eq!(stats.seeds_run, 0);
@@ -1118,7 +1144,7 @@ mod tests {
     fn a_cancel_retirement_killed_after_its_park_is_finished_on_restart() {
         let spool = temp_spool("cancel-park").with_host("a");
         let job = spool.submit(small_job("victim", vec![1])).unwrap();
-        jobs::write_atomic(&spool.tombstone_path(&job.id), "").unwrap();
+        write_atomic(&spool.tombstone_path(&job.id), "").unwrap();
         // Mutations 0–3 claim the job, 4 parks its spec for the
         // retirement, and 5 would write the cancelled record.
         let crashing = spool.clone().crashing_at(5);
@@ -1211,9 +1237,8 @@ mod tests {
             seed: 7,
             ..job.request.options.clone()
         };
-        let ckdir = spool.ckpt_dir(&job.id);
-        std::fs::create_dir_all(&ckdir).unwrap();
-        let outcome = jobs::run_seed_resumable(&compiled, &run_opts, &ckdir, 50, 1, |ck| {
+        std::fs::create_dir_all(spool.ckpt_dir(&job.id)).unwrap();
+        let outcome = run_seed_resumable(&spool, &compiled, &run_opts, &job.id, 50, 1, |ck| {
             if ck.engine.attempted >= 150 {
                 Directive::Stop
             } else {
@@ -1222,7 +1247,7 @@ mod tests {
         })
         .unwrap();
         assert!(matches!(outcome, SynthesisOutcome::Interrupted(_)));
-        assert!(jobs::fenced_checkpoint_path(&ckdir, 7, 1).exists());
+        assert!(spool.checkpoint_path(&job.id, 7, 1).exists());
 
         let stats = run(&spool, &opts, &AtomicBool::new(false));
         assert_eq!(stats.jobs_completed, 1);
@@ -1324,17 +1349,15 @@ mod tests {
 
     #[test]
     fn a_busy_host_is_not_dead() {
-        // Host `a` runs one long seed on its only worker, so it is never
+        // Host `a` runs one seed on its only worker, so it is never
         // idle; its peer `b` drains beside it with the same short lease
-        // timeout. `a`'s beat alone must keep `b` off its leases.
+        // timeout for four timeouts. `a`'s beat alone must keep `b` off
+        // its leases.
         let spool_a = temp_spool("busy").with_host("a");
         let mut req = small_job("amp", vec![5]);
-        // Over a second either way: debug builds cross-check every move.
-        req.options.moves_budget = if cfg!(debug_assertions) {
-            1_200
-        } else {
-            10_000
-        };
+        // A budget no machine finishes while `b` watches: both pools are
+        // shut down with the seed still running.
+        req.options.moves_budget = 100_000_000;
         req.options.quench_patience = req.options.moves_budget;
         let job = spool_a.submit(req).unwrap();
         let spool_b = Spool::open(spool_a.root()).unwrap().with_host("b");
@@ -1342,27 +1365,31 @@ mod tests {
             lease_timeout: Duration::from_millis(200),
             ..drain_opts(1)
         };
-        let (a, b) = std::thread::scope(|scope| {
-            let a = scope.spawn(|| drain_within(&spool_a, &opts, 60));
+        let (stop_a, stop_b) = (AtomicBool::new(false), AtomicBool::new(false));
+        let b = std::thread::scope(|scope| {
+            let a = scope.spawn(|| run(&spool_a, &opts, &stop_a));
             // `b` starts once `a` runs the seed.
             let deadline = Instant::now() + Duration::from_secs(30);
             while spool_a.running_seed_entries().is_empty() && Instant::now() < deadline {
                 std::thread::sleep(Duration::from_millis(2));
             }
-            let b = drain_within(&spool_b, &opts, 60);
-            (a.join().unwrap(), b)
+            let b = scope.spawn(|| run(&spool_b, &opts, &stop_b));
+            std::thread::sleep(4 * opts.lease_timeout);
+            assert_eq!(
+                spool_a.running_seed_entries().len(),
+                1,
+                "a's seed ran all the while"
+            );
+            assert!(!b.is_finished(), "b drained beside it all the while");
+            // `b` first: once `a` stops beating, its leases are fair game.
+            stop_b.store(true, Ordering::SeqCst);
+            let b = b.join().unwrap();
+            stop_a.store(true, Ordering::SeqCst);
+            a.join().unwrap();
+            b
         });
-        let record = spool_a.done(&job.id).expect("the job finished");
-        let wall = record.get("runs").and_then(Value::as_arr).unwrap()[0]
-            .get("wall_seconds")
-            .and_then(Value::as_f64)
-            .unwrap();
-        assert!(
-            wall > 0.6,
-            "the seed outlasts three lease timeouts: {wall} s"
-        );
         assert_eq!(b.leases_reaped, 0, "b reaped a live host's lease");
-        assert_eq!((a.seeds_run, b.seeds_run), (1, 0), "a ran the seed");
+        assert_eq!(b.seeds_run + b.seeds_stolen, 0, "b never ran the seed");
         let taken: Vec<String> = EventLog::open(&spool_a, &job.id)
             .read()
             .iter()
@@ -1372,6 +1399,41 @@ mod tests {
             .collect();
         assert!(taken.is_empty(), "taken over: {taken:?}");
         std::fs::remove_dir_all(spool_a.root()).unwrap();
+    }
+
+    #[test]
+    fn a_seed_killed_after_its_done_record_is_retired_not_annealed_again() {
+        // `a` claims the seed and writes its done record, then dies
+        // before `finish_seed`. A restart under `a` and a peer that
+        // reaps `a` each take the run entry over; the claimer of the
+        // re-opened entry must retire it from its record.
+        for (host, lease_timeout) in [
+            ("a", Duration::from_secs(3600)),
+            ("peer", Duration::from_millis(200)),
+        ] {
+            let spool_a = temp_spool(&format!("done-seed-{host}")).with_host("a");
+            let job = spool_a.submit(small_job("amp", vec![5])).unwrap();
+            let claimed = spool_a.claim_next().unwrap();
+            spool_a.shard_job(&claimed).unwrap();
+            claim_and_record_seed(&spool_a, &job.id, 5);
+
+            let spool = Spool::open(spool_a.root()).unwrap().with_host(host);
+            spool.recover();
+            let opts = PoolOptions {
+                lease_timeout,
+                ..drain_opts(1)
+            };
+            let stats = drain_within(&spool, &opts, 30);
+            assert!(spool.done(&job.id).is_some(), "{host}: the job stalled");
+            let started = EventLog::open(&spool, &job.id)
+                .read()
+                .iter()
+                .filter(|e| e.get("event").and_then(Value::as_str) == Some("seed_started"))
+                .count();
+            assert_eq!(started, 0, "{host} annealed the finished seed again");
+            assert_eq!(stats.jobs_failed, 1, "{host}: its only record is a failure");
+            std::fs::remove_dir_all(spool.root()).unwrap();
+        }
     }
 
     #[test]
@@ -1409,7 +1471,6 @@ mod tests {
         let claimed = spool_b.claim_next().unwrap();
         spool_b.shard_job(&claimed).unwrap();
         let spool_a = Spool::open(spool_b.root()).unwrap().with_host("a");
-        let ckdir = spool_a.ckpt_dir(&job.id);
         let e3 = claim_and_record_seed(&spool_a, &job.id, 3);
         let good = SeedRecord {
             fixed_cost: 1.5,
@@ -1422,9 +1483,17 @@ mod tests {
             failed: false,
             ..failed_seed_record(3)
         };
-        jobs::write_atomic(&seed_done_path(&ckdir, 3), &seed_record_to_json(&good)).unwrap();
+        write_atomic(
+            &spool_a.seed_done_path(&job.id, 3),
+            &seed_record_to_json(&good),
+        )
+        .unwrap();
         let e4 = claim_and_record_seed(&spool_a, &job.id, 4);
-        std::fs::write(seed_done_path(&ckdir, 4), "{\"format\":\"oblx-seed-res").unwrap();
+        std::fs::write(
+            spool_a.seed_done_path(&job.id, 4),
+            "{\"format\":\"oblx-seed-res",
+        )
+        .unwrap();
         spool_a.finish_seed(&e3);
         spool_a.finish_seed(&e4);
 

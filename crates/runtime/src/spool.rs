@@ -22,9 +22,13 @@
 //! instant leaves each job in exactly one well-defined place — the
 //! protocol needs nothing beyond atomic rename, atomic
 //! write-then-rename and an exclusive `link`, so several daemons can
-//! share one spool over NFS-style storage. Every mutation goes through
-//! one private choke point, which a test-only seam can crash at any
-//! numbered step (see `crash_sweep`).
+//! share one spool over NFS-style storage. This module owns every file
+//! of the protocol: submission, claims, leases, seed entries,
+//! checkpoints, done records and the atomic writes under them (the
+//! formats are `astrx_oblx::jobs`'). Every mutation goes through one
+//! private choke point, which a test-only seam can crash at any
+//! numbered step (see `crash_sweep`); only the host file and directory
+//! creation bypass it.
 //!
 //! # Cluster protocol
 //!
@@ -47,8 +51,8 @@
 //!   Checkpoints are bit-exact, so a seed taken from a dead host
 //!   resumes mid-anneal on the thief with a bit-identical final result.
 //!   Fencing tokens are embedded in checkpoint *filenames*
-//!   (see `astrx_oblx::jobs::fenced_checkpoint_path`), so a zombie's
-//!   late checkpoint write can never shadow the new holder's state.
+//!   (see [`Spool::checkpoint_path`]), so a zombie's late checkpoint
+//!   write can never shadow the new holder's state.
 //!
 //! A lease is taken over one way ([`Spool::take_over`]): its claimed
 //! seed re-opens at a bumped fence, its claimed job goes back to the
@@ -60,11 +64,13 @@
 use crate::events::WorkerState;
 use astrx_oblx::jobs::{self, JobFile, JobRequest};
 use astrx_oblx::json::{ObjBuilder, Value};
+use astrx_oblx::SynthesisCheckpoint;
 use std::collections::VecDeque;
-use std::io;
+use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 #[cfg(test)]
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::AtomicUsize;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
 /// Handle to a spool directory, carrying the local host identity used
@@ -240,8 +246,11 @@ impl Spool {
 
     /// Makes one spool mutation: a rename, a link, a temp file's write
     /// or a removal. Every mutation of `spool.rs` and `pool.rs` goes
-    /// through here, so the test-only crash seam can fail any one of
-    /// them and every one after it.
+    /// through here — submission, checkpoints and done records included
+    /// — so the test-only crash seam can fail any one of them and every
+    /// one after it. Two writes are no mutation: the host file (see
+    /// [`Spool::write_host`]), and creating a directory, which is
+    /// idempotent.
     pub(crate) fn apply<T>(&self, op: impl FnOnce() -> io::Result<T>) -> io::Result<T> {
         #[cfg(test)]
         if let Some((at, count)) = self.crash.as_deref() {
@@ -262,22 +271,73 @@ impl Spool {
         crashed
     }
 
-    /// Writes `path` atomically: two mutations, the temporary file
-    /// (see [`jobs::write_tmp`]) and its rename into place.
+    /// Writes `path` atomically, as [`write_atomic`] does: two
+    /// mutations, the temporary file and its rename into place.
     pub(crate) fn write(&self, path: &Path, contents: &str) -> io::Result<()> {
-        let tmp = self.apply(|| jobs::write_tmp(path, contents))?;
+        let tmp = self.apply(|| write_tmp(path, contents))?;
         self.apply(|| std::fs::rename(&tmp, path))
     }
 
-    /// Submits a job: assigns an id and sequence number and writes it
-    /// into `queue/` atomically (via [`jobs::spool_submit`], the same
-    /// protocol thin clients use). Returns the stored [`JobFile`].
+    /// Submits a job: takes the next sequence number, names the job
+    /// after it (`j000042`) and writes `queue/<id>.json` atomically.
+    /// `oblxd submit`, the HTTP edge and every test submit through here.
+    /// Returns the stored [`JobFile`].
     ///
     /// # Errors
     ///
-    /// Any I/O error.
+    /// Any I/O error, or a `seq.lock` that stays busy.
     pub fn submit(&self, request: JobRequest) -> io::Result<JobFile> {
-        jobs::spool_submit(&self.root, request)
+        let seq = self.next_seq()?;
+        let job = JobFile {
+            id: format!("j{seq:06}"),
+            seq,
+            request,
+        };
+        let path = self.queue_dir().join(format!("{}.json", job.id));
+        self.write(&path, &jobs::job_to_json(&job))?;
+        Ok(job)
+    }
+
+    /// Takes the next submission sequence number from `seq`, under the
+    /// lock file `seq.lock` against concurrent submitters; a lock older
+    /// than 5 s was left by a dead submitter and is broken.
+    fn next_seq(&self) -> io::Result<u64> {
+        let lock = self.root.join("seq.lock");
+        let seq_path = self.root.join("seq");
+        for _ in 0..5000 {
+            let created = self.apply(|| {
+                std::fs::OpenOptions::new()
+                    .write(true)
+                    .create_new(true)
+                    .open(&lock)
+            });
+            match created {
+                Ok(_) => {
+                    let next = std::fs::read_to_string(&seq_path)
+                        .ok()
+                        .and_then(|s| s.trim().parse::<u64>().ok())
+                        .unwrap_or(0)
+                        + 1;
+                    let written = self.write(&seq_path, &next.to_string());
+                    let _ = self.apply(|| std::fs::remove_file(&lock));
+                    return written.map(|()| next);
+                }
+                Err(e) if e.kind() == io::ErrorKind::AlreadyExists => {
+                    let stale = std::fs::metadata(&lock)
+                        .and_then(|m| m.modified())
+                        .ok()
+                        .and_then(|m| m.elapsed().ok())
+                        .is_some_and(|age| age.as_secs() >= 5);
+                    if stale {
+                        let _ = self.apply(|| std::fs::remove_file(&lock));
+                    } else {
+                        std::thread::sleep(Duration::from_millis(1));
+                    }
+                }
+                Err(e) => return Err(e),
+            }
+        }
+        Err(io::Error::other("seq lock busy"))
     }
 
     fn read_job(path: &Path) -> Option<JobFile> {
@@ -392,7 +452,7 @@ impl Spool {
             fence,
         };
         let path = self.lease_path(name);
-        let Ok(tmp) = self.apply(|| jobs::write_tmp(&path, &lease.to_json())) else {
+        let Ok(tmp) = self.apply(|| write_tmp(&path, &lease.to_json())) else {
             return false;
         };
         let linked = self.apply(|| std::fs::hard_link(&tmp, &path)).is_ok();
@@ -425,7 +485,7 @@ impl Spool {
             oblx_telemetry::incr(oblx_telemetry::Counter::LeaseReleased);
         }
         let _ = self.apply(|| {
-            jobs::remove_stale_tmp_siblings(&path);
+            remove_stale_tmp_siblings(&path);
             Ok(())
         });
     }
@@ -522,12 +582,10 @@ impl Spool {
     ///
     /// Any I/O error creating the seeds directory or writing entries.
     pub fn shard_job(&self, job: &JobFile) -> io::Result<usize> {
-        let dir = self.job_seeds_dir(&job.id);
-        std::fs::create_dir_all(&dir)?;
-        let ckdir = self.ckpt_dir(&job.id);
+        std::fs::create_dir_all(self.job_seeds_dir(&job.id))?;
         let mut created = 0;
         for (index, &seed) in job.request.seeds.iter().enumerate() {
-            if ckdir.join(format!("seed_{seed}.done.json")).exists()
+            if self.seed_done_path(&job.id, seed).exists()
                 || self.seed_entry_path(&job.id, seed, "open").exists()
                 || self.seed_entry_path(&job.id, seed, "run").exists()
             {
@@ -650,11 +708,85 @@ impl Spool {
     }
 
     // -----------------------------------------------------------------
+    // The checkpoint store: `ckpt/<id>/`.
+
+    /// The checkpoint file of seed `seed` of job `id` under fencing
+    /// token `fence`: `ckpt/<id>/seed_<s>.f<fence>.ckpt.json`. The token
+    /// makes stale writers harmless on shared storage: a holder that
+    /// lost its lease keeps writing its *own* fence's file, which can
+    /// never shadow the file of the higher-fence holder that took over,
+    /// because readers prefer the highest fence present.
+    pub fn checkpoint_path(&self, id: &str, seed: u64, fence: u64) -> PathBuf {
+        self.ckpt_dir(id)
+            .join(format!("seed_{seed}.f{fence}.ckpt.json"))
+    }
+
+    /// The done record of seed `seed` of job `id`:
+    /// `ckpt/<id>/seed_<s>.done.json`. Once it exists the seed is
+    /// finished for good: sharding skips it, and a claim of its entry
+    /// retires the entry unrun.
+    pub(crate) fn seed_done_path(&self, id: &str, seed: u64) -> PathBuf {
+        self.ckpt_dir(id).join(format!("seed_{seed}.done.json"))
+    }
+
+    /// Fence tokens that have a checkpoint file for `seed` of job `id`,
+    /// in no particular order.
+    fn checkpoint_fences(&self, id: &str, seed: u64) -> Vec<u64> {
+        let prefix = format!("seed_{seed}.f");
+        let Ok(entries) = std::fs::read_dir(self.ckpt_dir(id)) else {
+            return Vec::new();
+        };
+        let mut fences = Vec::new();
+        for entry in entries.flatten() {
+            let name = entry.file_name();
+            let Some(name) = name.to_str() else { continue };
+            if let Some(mid) = name
+                .strip_prefix(&prefix)
+                .and_then(|rest| rest.strip_suffix(".ckpt.json"))
+            {
+                if let Ok(fence) = mid.parse::<u64>() {
+                    fences.push(fence);
+                }
+            }
+        }
+        fences
+    }
+
+    /// The newest (highest-fence) valid checkpoint of seed `seed` of job
+    /// `id`, with its fence token. Torn or foreign-version files are
+    /// skipped in favor of the next-newest fence.
+    pub(crate) fn load_latest_checkpoint(
+        &self,
+        id: &str,
+        seed: u64,
+    ) -> Option<(u64, SynthesisCheckpoint)> {
+        let mut fences = self.checkpoint_fences(id, seed);
+        fences.sort_unstable_by(|a, b| b.cmp(a));
+        fences.into_iter().find_map(|fence| {
+            load_checkpoint(&self.checkpoint_path(id, seed, fence)).map(|ck| (fence, ck))
+        })
+    }
+
+    /// Removes every checkpoint file of seed `seed` of job `id`, at
+    /// every fence, as one mutation. Called once the seed has its done
+    /// record.
+    pub(crate) fn remove_checkpoints(&self, id: &str, seed: u64) {
+        let _ = self.apply(|| {
+            for fence in self.checkpoint_fences(id, seed) {
+                let _ = std::fs::remove_file(self.checkpoint_path(id, seed, fence));
+            }
+            Ok(())
+        });
+    }
+
+    // -----------------------------------------------------------------
     // Host files.
 
     /// Writes this daemon's host file (`hosts/<host>.json`): the beat
-    /// counter its peers watch for liveness, and one row per worker. It
-    /// is not a crash point; a crashed handle just stops writing it.
+    /// counter its peers watch for liveness, and one row per worker.
+    /// It is the one write that bypasses the spool's choke point, so it
+    /// is no crash point: nothing but liveness reads it, and a crashed
+    /// handle just stops writing it.
     pub fn write_host(&self, beat: u64, worker_state: Vec<Value>) {
         if self.crashed() {
             return;
@@ -667,7 +799,7 @@ impl Spool {
             .field("beat", jobs::u64_to_value(beat))
             .field("worker_state", Value::Arr(worker_state))
             .build();
-        let _ = jobs::write_atomic(
+        let _ = write_atomic(
             &self.hosts_dir().join(format!("{}.json", self.host)),
             &doc.to_json(),
         );
@@ -807,7 +939,7 @@ impl Spool {
         // one (the reaper may redo a finalize) writes the same bytes, so
         // failing its rename loses nothing.
         let _ = self.apply(|| {
-            jobs::remove_stale_tmp_siblings(&path);
+            remove_stale_tmp_siblings(&path);
             Ok(())
         });
         self.retire(id);
@@ -1017,6 +1149,99 @@ impl Spool {
         Self::read_job(&self.parked_job_path(id))
     }
 }
+
+// ---------------------------------------------------------------------
+// Atomic file IO.
+
+/// Writes `contents` to `path` atomically: the bytes land in a
+/// temporary sibling first and are renamed into place, so a reader (or
+/// a crash) never observes a torn file. Spool writes go through
+/// `Spool::write`, the same two steps as crash points; this bare form
+/// serves the host file and the runtime benchmark.
+///
+/// Every call writes through a temporary file of its own, created
+/// exclusively: two writers of one path (a seed re-run after its lease
+/// was reopened, say) can never rename each other's partial write into
+/// place. A failed write removes its temporary file.
+///
+/// # Errors
+///
+/// Any I/O error from the write or rename.
+pub fn write_atomic(path: &Path, contents: &str) -> io::Result<()> {
+    let tmp = write_tmp(path, contents)?;
+    std::fs::rename(&tmp, path).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
+/// The first half of [`write_atomic`]: writes `contents` durably into a
+/// new temporary sibling of `path`, created exclusively, and returns its
+/// path, to be renamed or linked into place. A failed write removes it.
+fn write_tmp(path: &Path, contents: &str) -> io::Result<PathBuf> {
+    static NEXT: AtomicU64 = AtomicU64::new(0);
+    let (tmp, mut f) = loop {
+        let tmp = tmp_sibling(path, NEXT.fetch_add(1, Ordering::Relaxed));
+        match std::fs::OpenOptions::new()
+            .write(true)
+            .create_new(true)
+            .open(&tmp)
+        {
+            Ok(f) => break (tmp, f),
+            // Left behind by an earlier process with this pid.
+            Err(e) if e.kind() == io::ErrorKind::AlreadyExists => continue,
+            Err(e) => return Err(e),
+        }
+    };
+    let written = f.write_all(contents.as_bytes()).and_then(|()| f.sync_all());
+    drop(f);
+    written.map(|()| tmp.clone()).inspect_err(|_| {
+        let _ = std::fs::remove_file(&tmp);
+    })
+}
+
+/// Removes the temporary siblings of `path` that [`write_tmp`] writers
+/// left behind when they died before their rename or link. A live
+/// writer's temporary file goes too, failing its rename or link, so
+/// call it only where that loses nothing: every live writer of `path`
+/// writes the same bytes, or retries.
+fn remove_stale_tmp_siblings(path: &Path) {
+    let (Some(dir), Some(name)) = (path.parent(), path.file_name().and_then(|n| n.to_str())) else {
+        return;
+    };
+    let prefix = format!("{name}.");
+    let Ok(entries) = std::fs::read_dir(dir) else {
+        return;
+    };
+    for entry in entries.flatten() {
+        let stale = entry
+            .file_name()
+            .to_str()
+            .is_some_and(|n| n.starts_with(&prefix) && n.ends_with(".tmp"));
+        if stale {
+            let _ = std::fs::remove_file(entry.path());
+        }
+    }
+}
+
+/// The `n`-th temporary sibling of `path` in this process:
+/// `<name>.<pid>.<n>.tmp`.
+fn tmp_sibling(path: &Path, n: u64) -> PathBuf {
+    let mut name = path
+        .file_name()
+        .map(|n| n.to_string_lossy().into_owned())
+        .unwrap_or_else(|| "file".to_string());
+    name.push_str(&format!(".{}.{n}.tmp", std::process::id()));
+    path.with_file_name(name)
+}
+
+/// Loads a checkpoint file, returning `None` when the file is missing,
+/// torn, or of a foreign version — every case where the only safe
+/// answer is "start over".
+fn load_checkpoint(path: &Path) -> Option<SynthesisCheckpoint> {
+    let text = std::fs::read_to_string(path).ok()?;
+    jobs::checkpoint_from_json(&text).ok()
+}
+
 /// Claim-scan cache and contention tracker for
 /// [`Spool::claim_next_from`]. One per claim loop (worker thread);
 /// never shared.
@@ -1553,6 +1778,84 @@ mod tests {
         );
         assert_eq!(spool.open_seed_entries()[0].fence, entry.fence + 1);
         assert_eq!(spool.running().len(), 1, "the peer's job stays claimed");
+        std::fs::remove_dir_all(spool.root()).unwrap();
+    }
+
+    #[test]
+    fn atomic_write_replaces_not_tears() {
+        let dir = std::env::temp_dir().join(format!("oblx-atomic-write-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("ck.json");
+        write_atomic(&path, "first").unwrap();
+        write_atomic(&path, "second").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
+        // A stray tmp file from a crashed writer is not the real file.
+        std::fs::write(tmp_sibling(&path, 0), "garbage").unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), "second");
+        // Removing stale siblings takes it and nothing else.
+        std::fs::write(dir.join("ck.json.other"), "kept").unwrap();
+        remove_stale_tmp_siblings(&path);
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .flatten()
+            .map(|e| e.file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(left, ["ck.json", "ck.json.other"]);
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Two threads rewrite one path while a third reads it: every read
+    /// sees one writer's complete contents, and every write succeeds.
+    #[test]
+    fn concurrent_atomic_writers_never_tear_a_file() {
+        use std::sync::atomic::AtomicBool;
+        let dir = std::env::temp_dir().join(format!("oblx-atomic-race-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("seed_1.done.json");
+        let bodies = ["a".repeat(64 * 1024), "b".repeat(64 * 1024)];
+        write_atomic(&path, &bodies[0]).unwrap();
+        let done = AtomicBool::new(false);
+        std::thread::scope(|scope| {
+            let writers: Vec<_> = bodies
+                .iter()
+                .map(|body| {
+                    let path = &path;
+                    scope.spawn(move || {
+                        for _ in 0..100 {
+                            write_atomic(path, body).expect("every write lands");
+                        }
+                    })
+                })
+                .collect();
+            let reader = scope.spawn(|| {
+                let mut reads = 0;
+                while !done.load(Ordering::Relaxed) {
+                    let text = std::fs::read_to_string(&path).unwrap();
+                    assert!(bodies.contains(&text), "torn read of {} bytes", text.len());
+                    reads += 1;
+                }
+                reads
+            });
+            // Stop the reader before reporting a writer's failure.
+            let writes: Vec<_> = writers.into_iter().map(|w| w.join()).collect();
+            done.store(true, Ordering::Relaxed);
+            let reads = reader.join();
+            assert!(writes.into_iter().all(|w| w.is_ok()), "a write failed");
+            assert!(reads.expect("no torn read") > 0);
+        });
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn corrupt_checkpoint_loads_as_none() {
+        let spool = temp_spool("ckpt");
+        let path = spool.checkpoint_path("j1", 3, 1);
+        assert!(load_checkpoint(&path).is_none(), "missing file");
+        std::fs::create_dir_all(spool.ckpt_dir("j1")).unwrap();
+        std::fs::write(&path, "{\"format\":\"oblx-checkpoint\",\"version\":1,").unwrap();
+        assert!(load_checkpoint(&path).is_none(), "torn file");
+        assert!(spool.load_latest_checkpoint("j1", 3).is_none(), "torn file");
         std::fs::remove_dir_all(spool.root()).unwrap();
     }
 }
