@@ -38,11 +38,11 @@ pub trait AnnealProblem {
     ) -> Option<Self::State>;
 
     /// Proposes a move together with the [`DirtySet`] of variables it
-    /// touched, enabling incremental cost evaluation downstream. The
-    /// default wraps [`AnnealProblem::propose`] with the conservative
-    /// everything-dirty set; problems with incremental evaluators
-    /// override this (and make `propose` delegate to it) so the two
-    /// stay consistent.
+    /// touched. The default wraps [`AnnealProblem::propose`] with the
+    /// everything-dirty set, which allocates nothing and draws the same
+    /// random numbers. No problem in this workspace overrides it: OBLX's
+    /// evaluator finds what changed by diffing states bitwise. Wrapping
+    /// problems (the benchmark's replay layer) forward it.
     fn propose_dirty(
         &mut self,
         state: &Self::State,
@@ -83,6 +83,16 @@ pub trait AnnealProblem {
     }
 }
 
+/// Initial acceptance ratio targeted by the warm-up probe.
+const CHI0: f64 = 0.95;
+/// Number of warm-up probe moves for T₀ estimation.
+const WARMUP_MOVES: usize = 200;
+/// Re-evaluate the cached current/best costs every this many moves.
+/// Needed when the problem's cost function drifts — OBLX's adaptive
+/// weights change `C(x)` during the run, and stale caches would
+/// otherwise freeze an early low-cost state as "best" forever.
+const REFRESH_EVERY: usize = 512;
+
 /// Engine options.
 #[derive(Debug, Clone)]
 pub struct AnnealOptions {
@@ -90,20 +100,10 @@ pub struct AnnealOptions {
     pub moves_budget: usize,
     /// RNG seed (runs are deterministic given the seed).
     pub seed: u64,
-    /// Initial acceptance ratio targeted by the warm-up probe.
-    pub chi0: f64,
-    /// Number of warm-up probe moves for T₀ estimation.
-    pub warmup_moves: usize,
     /// Sample the trace every this many moves (0 disables tracing).
     pub trace_every: usize,
     /// Maximum attempts in the final quench without improvement.
     pub quench_patience: usize,
-    /// Re-evaluate the cached current/best costs every this many moves
-    /// (0 disables). Needed when the problem's cost function drifts —
-    /// OBLX's adaptive weights change `C(x)` during the run, and stale
-    /// caches would otherwise freeze an early low-cost state as "best"
-    /// forever.
-    pub refresh_every: usize,
 }
 
 impl Default for AnnealOptions {
@@ -111,11 +111,8 @@ impl Default for AnnealOptions {
         AnnealOptions {
             moves_budget: 50_000,
             seed: 1,
-            chi0: 0.95,
-            warmup_moves: 200,
             trace_every: 0,
             quench_patience: 2_000,
-            refresh_every: 512,
         }
     }
 }
@@ -153,7 +150,7 @@ pub enum Phase {
 /// Restarting [`Annealer::run_controlled`] from a checkpoint continues
 /// the run **bit-identically**: the RNG stream, the Hustin move
 /// statistics, the Lam schedule's control loop, and every counter the
-/// loop consults (`attempted` drives the `refresh_every`/`trace_every`
+/// loop consults (`attempted` drives the cost-refresh and `trace_every`
 /// modulo tests) are all captured. The one thing deliberately *not*
 /// captured is problem-side state — problems with internal state (cost
 /// caches, adaptive weights) snapshot themselves in the same hook that
@@ -286,8 +283,8 @@ impl Annealer {
                 trace = Trace::new(problem.telemetry_names());
 
                 // Warm-up probe: sample deltas to set T₀.
-                let mut deltas = Vec::with_capacity(self.opts.warmup_moves);
-                for _ in 0..self.opts.warmup_moves {
+                let mut deltas = Vec::with_capacity(WARMUP_MOVES);
+                for _ in 0..WARMUP_MOVES {
                     let class = stats.pick(&mut self.rng);
                     if let Some((cand, dirty)) =
                         problem.propose_dirty(&state, class, 1.0, &mut self.rng)
@@ -307,7 +304,7 @@ impl Annealer {
                         }
                     }
                 }
-                let t0 = initial_temperature(&deltas, self.opts.chi0);
+                let t0 = initial_temperature(&deltas, CHI0);
                 schedule = LamSchedule::new(t0, self.opts.moves_budget);
                 attempted = 0usize;
                 accepted_count = 0usize;
@@ -369,8 +366,7 @@ impl Annealer {
                     }
                 };
                 let _ = accepted;
-                if self.opts.refresh_every > 0 && attempted.is_multiple_of(self.opts.refresh_every)
-                {
+                if attempted.is_multiple_of(REFRESH_EVERY) {
                     cost = problem.cost(&state);
                     best_cost = problem.cost(&best_state);
                     if cost < best_cost {
@@ -753,7 +749,6 @@ mod tests {
             seed: 21,
             trace_every: 300,
             quench_patience: 1_500,
-            ..AnnealOptions::default()
         };
         let full = Annealer::new(opts.clone()).run(&mut Rastrigin);
         // Interrupt in the main phase (early, late) and in the quench.

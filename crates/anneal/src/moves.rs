@@ -15,8 +15,9 @@ use rand::Rng;
 /// and [`crate::AnnealProblem::cost_moved`].
 ///
 /// The split into *primary* and *auxiliary* indices is generic: the
-/// problem defines what each group means (OBLX uses primary = user
-/// variables, auxiliary = relaxed-dc node voltages). A move must
+/// problem defines what each group means (for OBLX's state they would
+/// be the user variables and the relaxed-dc node voltages; OBLX itself
+/// declares no sets, its evaluator diffs states bitwise). A move must
 /// declare a **superset** of what it actually changed; declaring too
 /// much only costs speed, declaring too little is a correctness bug
 /// (incremental evaluators may reuse stale partial results).

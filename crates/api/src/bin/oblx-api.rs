@@ -16,7 +16,6 @@
 //! finish, in-flight seeds checkpoint, and the process exits 0.
 
 use oblx_api::server::{Server, ServerOptions};
-use oblx_runtime::events::EventLog;
 use oblx_runtime::pool::{self, PoolOptions};
 use oblx_runtime::spool::Spool;
 use std::io::Write as _;
@@ -108,16 +107,7 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        // Same startup hygiene as `oblxd run`: quarantine, then recover.
-        for id in pool_spool.quarantine_corrupt() {
-            EventLog::open(&pool_spool, &id).emit("job_corrupt", &[]);
-            oblx_telemetry::incr(oblx_telemetry::Counter::JobCorrupt);
-            eprintln!("quarantined corrupt spool entry {id}");
-        }
-        for id in pool_spool.recover() {
-            EventLog::open(&pool_spool, &id).emit("recovered", &[]);
-            eprintln!("recovered orphaned job {id}");
-        }
+        pool::recover_at_startup(&pool_spool);
         let pool_opts = PoolOptions {
             workers: opt(&rest, "--pool-workers")
                 .and_then(|s| s.parse().ok())

@@ -4,9 +4,10 @@
 //! * `full_rebuild` — the pre-plan baseline: re-parse variable maps,
 //!   rebuild every `SizedCircuit`, restamp and re-solve (what every
 //!   evaluation cost before the precompiled plan existed);
-//! * `plan_full` — plan-based full update (all bindings re-applied into
+//! * `plan_full` — full slot update (every variable moves, linear bias
+//!   ones included: every device, jig binding and jig redone into
 //!   preallocated buffers, no `HashMap`/`String` work);
-//! * `incremental_node` — single node-voltage move: dirty-set diffing
+//! * `incremental_node` — single node-voltage move: the bitwise diff
 //!   recomputes only the touched device ops, the KCL residual, and the
 //!   jigs that contain the moved node;
 //! * `incremental_geom` — single device-geometry move: one device
@@ -15,11 +16,12 @@
 //!
 //! Each scenario walks monotonically (`+1 ulp`-scale steps) so no
 //! evaluation after the first ever hits the exact-match cache unless
-//! that is the point of the scenario.
+//! that is the point of the scenario. The gate line also checks that
+//! each scenario took the evaluator path it is named for.
 
 use astrx_oblx::bench_suite;
 use astrx_oblx::cost::CostEvaluator;
-use astrx_oblx::AdaptiveWeights;
+use astrx_oblx::{AdaptiveWeights, EvalStats};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -33,6 +35,7 @@ fn bench(c: &mut Criterion) {
     let mut ev = CostEvaluator::new(&compiled);
     assert!(ev.has_plan(), "Two-Stage must compile to an eval plan");
 
+    let mut off_path = Vec::new();
     let mut g = c.benchmark_group("cost_eval_incremental");
     if std::env::var_os("OBLX_BENCH_QUICK").is_some() {
         g.sample_size(5);
@@ -63,7 +66,7 @@ fn bench(c: &mut Criterion) {
                 black_box(ev.evaluate(&user, &nodes, &w).total)
             })
         });
-        report_paths("plan_full", ev.stats() - before);
+        report_paths("plan_full", Path::Full, ev.stats() - before, &mut off_path);
     }
 
     // Incremental: one node voltage moves each step.
@@ -77,7 +80,12 @@ fn bench(c: &mut Criterion) {
                 black_box(ev.evaluate(&user, &nodes, &w).total)
             })
         });
-        report_paths("incremental_node", ev.stats() - before);
+        report_paths(
+            "incremental_node",
+            Path::Incremental,
+            ev.stats() - before,
+            &mut off_path,
+        );
     }
 
     // Incremental: one device geometry moves each step.
@@ -91,7 +99,12 @@ fn bench(c: &mut Criterion) {
                 black_box(ev.evaluate(&user, &nodes, &w).total)
             })
         });
-        report_paths("incremental_geom", ev.stats() - before);
+        report_paths(
+            "incremental_geom",
+            Path::Incremental,
+            ev.stats() - before,
+            &mut off_path,
+        );
     }
 
     // Exact revisit: rescore a cached slot.
@@ -102,7 +115,12 @@ fn bench(c: &mut Criterion) {
         g.bench_function("cached_rescore", |bench| {
             bench.iter(|| black_box(ev.evaluate(&user, &nodes, &w).total))
         });
-        report_paths("cached_rescore", ev.stats() - before);
+        report_paths(
+            "cached_rescore",
+            Path::Cached,
+            ev.stats() - before,
+            &mut off_path,
+        );
     }
     g.finish();
 
@@ -134,23 +152,50 @@ fn bench(c: &mut Criterion) {
     // the pre-sparse plan scored 0.28. The 0.20 threshold sits between
     // them with >25% headroom on both sides, so only a structural
     // regression of the sparse / incremental path can cross it —
-    // quick-mode noise cannot.
+    // quick-mode noise cannot. A scenario that left its path fails the
+    // gate too: its ratio would time some other path.
     let ratio = median("incremental_node") / full;
-    let verdict = if ratio < 0.20 {
+    let verdict = if ratio < 0.20 && off_path.is_empty() {
         "EVAL_SPEEDUP_OK"
     } else {
         "EVAL_SPEEDUP_FAIL"
     };
-    println!("{verdict} incremental/full_rebuild={ratio:.3}");
+    println!(
+        "{verdict} incremental/full_rebuild={ratio:.3} off_path=[{}]",
+        off_path.join(",")
+    );
 }
 
-/// Prints which evaluator paths a scenario actually exercised, so a
-/// regression that silently demotes `incremental` to `full` shows up.
-fn report_paths(name: &str, d: astrx_oblx::EvalStats) {
+/// The evaluator path a scenario is named for.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Path {
+    Full,
+    Incremental,
+    Cached,
+}
+
+/// Prints which evaluator paths a scenario exercised and records its
+/// name in `off_path` unless every evaluation took `want`. An
+/// incremental scenario may start with up to two full updates: its
+/// first state differs from both slots' states of the scenario before
+/// in a linear bias variable.
+fn report_paths(name: &'static str, want: Path, d: EvalStats, off_path: &mut Vec<&'static str>) {
     println!(
         "  {name}: {} cold, {} full, {} incremental, {} cached",
         d.cold, d.full, d.incremental, d.cached
     );
+    let on_path = d.total() > 0
+        && match want {
+            Path::Full => d.full == d.total(),
+            Path::Incremental => {
+                d.full <= 2 && d.incremental > 0 && d.full + d.incremental == d.total()
+            }
+            Path::Cached => d.cached == d.total(),
+        };
+    if !on_path {
+        println!("  {name} left the {want:?} path");
+        off_path.push(name);
+    }
 }
 
 criterion_group!(benches, bench);

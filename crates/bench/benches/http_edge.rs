@@ -1,5 +1,5 @@
 //! HTTP-edge benchmark: what the network front costs over the raw
-//! spool, written to `BENCH_api.json` at the repo root.
+//! spool, printed one line per measurement.
 //!
 //! * **submit→accept latency** — client-observed wall time of a
 //!   `POST /v1/jobs` (connect, edge-side parse + validate + compile,
@@ -7,9 +7,9 @@
 //!   both with a fresh connection per request and over a single
 //!   keep-alive connection, so the connect/teardown cost is visible;
 //! * **queue throughput through the edge** — the same 100-small-job
-//!   drain the runtime suite times against the bare spool
-//!   (`BENCH_runtime.json` `queue_jobs_per_s`), but with every job
-//!   entering over HTTP;
+//!   drain the runtime suite times against the bare spool (its
+//!   `runtime/queue_throughput` line), but with every job entering over
+//!   HTTP;
 //! * **quota under flood** — a burst far past the token bucket,
 //!   counting how many requests the limiter turned away.
 //!
@@ -22,7 +22,7 @@ use oblx_runtime::pool::{self, PoolOptions};
 use oblx_runtime::spool::Spool;
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpStream};
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
@@ -181,8 +181,8 @@ fn bench(_c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 
     // --- queue throughput through the edge -------------------------
-    // Mirrors the runtime suite's 100-job drain so `queue_jobs_per_s`
-    // here is directly comparable to the direct-spool baseline there.
+    // Mirrors the runtime suite's 100-job drain so the jobs/s here are
+    // directly comparable to the direct-spool baseline there.
     let dir = temp_dir("queue");
     let shutdown = Arc::new(AtomicBool::new(false));
     let opts = ServerOptions {
@@ -263,40 +263,6 @@ fn bench(_c: &mut Criterion) {
     shutdown.store(true, Ordering::SeqCst);
     server.join();
     let _ = std::fs::remove_dir_all(&dir);
-
-    // --- emit -------------------------------------------------------
-    let record = ObjBuilder::new()
-        .field("format", "oblx-bench")
-        .field("version", 1i64)
-        .field("suite", "api")
-        .field("submit_posts", i64::try_from(n_latency).unwrap())
-        .field("submit_p50_s", p50)
-        .field("submit_p90_s", p90)
-        .field("submit_p99_s", p99)
-        .field("submit_sustained_per_s", submit_rate)
-        .field("keepalive_posts", i64::try_from(n_latency).unwrap())
-        .field("keepalive_p50_s", ka_p50)
-        .field("keepalive_sustained_per_s", ka_rate)
-        .field("queue_jobs", i64::try_from(n_jobs).unwrap())
-        .field("queue_http_submit_s", submit_s)
-        .field("queue_drain_s", drain_s)
-        .field("queue_jobs_per_s", n_jobs as f64 / drain_s)
-        .field("flood_requests", i64::try_from(n_flood).unwrap())
-        .field("flood_served", i64::try_from(served).unwrap())
-        .field("flood_quota_rejected", i64::try_from(rejected).unwrap())
-        .field("flood_s", flood_s)
-        .build();
-    let out = repo_root().join("BENCH_api.json");
-    std::fs::write(&out, format!("{}\n", record.to_json())).expect("BENCH_api.json written");
-    println!("wrote {}", out.display());
-}
-
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels below the repo root")
-        .to_path_buf()
 }
 
 criterion_group!(benches, bench);

@@ -1,20 +1,19 @@
 //! Runtime subsystem benchmark: the cost of crash-safety.
 //!
-//! Measures the three prices `oblxd` pays for resumability and writes
-//! them to `BENCH_runtime.json` at the repo root so the perf trajectory
-//! is tracked across PRs:
+//! Measures the three prices `oblxd` pays for resumability and prints
+//! them:
 //!
 //! * **checkpoint write latency** — serializing a live
 //!   `SynthesisCheckpoint` to hex-bit JSON plus the atomic
 //!   temp-and-rename persist (what every in-flight seed pays once per
 //!   `--checkpoint-interval` proposals);
 //! * **resume cost** — parsing a checkpoint back and finishing the run
-//!   from it, against the cold uninterrupted run of the same budget;
+//!   from it, against the cold uninterrupted run of the same budget
+//!   (the `runtime/resume_fraction` line gives the ratio);
 //! * **queue throughput** — submitting 100 small jobs into a spool and
 //!   draining them through the work-stealing pool.
 
 use astrx_oblx::jobs::{checkpoint_from_json, checkpoint_to_json, JobRequest};
-use astrx_oblx::json::ObjBuilder;
 use astrx_oblx::oblx::synthesize_controlled;
 use astrx_oblx::{synthesize, SynthesisOptions, SynthesisOutcome};
 use criterion::{criterion_group, criterion_main, Criterion};
@@ -22,7 +21,7 @@ use oblx_anneal::Directive;
 use oblx_runtime::pool::{self, PoolOptions};
 use oblx_runtime::spool::{write_atomic, Spool};
 use std::hint::black_box;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::AtomicBool;
 use std::time::Instant;
 
@@ -137,16 +136,6 @@ fn bench(c: &mut Criterion) {
         n_jobs as f64 / drain_s
     );
 
-    emit_json(c, ck_bytes, submit_s, drain_s, n_jobs);
-
-    let _ = std::fs::remove_dir_all(&dir);
-    let _ = std::fs::remove_dir_all(&spool_dir);
-}
-
-/// Writes `BENCH_runtime.json` at the repo root: one flat record per
-/// metric, all median seconds from the criterion results plus the
-/// one-shot queue measurement.
-fn emit_json(c: &Criterion, ck_bytes: usize, submit_s: f64, drain_s: f64, n_jobs: usize) {
     let median = |name: &str| {
         c.results()
             .iter()
@@ -156,39 +145,15 @@ fn emit_json(c: &Criterion, ck_bytes: usize, submit_s: f64, drain_s: f64, n_jobs
     };
     let cold = median("runtime_resume/cold_400");
     let resumed = median("runtime_resume/resumed_from_300");
-    let record = ObjBuilder::new()
-        .field("format", "oblx-bench")
-        .field("version", 1i64)
-        .field("suite", "runtime")
-        .field("checkpoint_bytes", ck_bytes as i64)
-        .field(
-            "checkpoint_serialize_s",
-            median("runtime/checkpoint_serialize"),
-        )
-        .field(
-            "checkpoint_write_atomic_s",
-            median("runtime/checkpoint_write_atomic"),
-        )
-        .field("checkpoint_parse_s", median("runtime/checkpoint_parse"))
-        .field("resume_cold_run_s", cold)
-        .field("resume_resumed_run_s", resumed)
-        .field("resume_fraction_of_cold", resumed / cold)
-        .field("queue_jobs", n_jobs as i64)
-        .field("queue_submit_s", submit_s)
-        .field("queue_drain_s", drain_s)
-        .field("queue_jobs_per_s", n_jobs as f64 / drain_s)
-        .build();
-    let out = repo_root().join("BENCH_runtime.json");
-    std::fs::write(&out, format!("{}\n", record.to_json())).expect("BENCH_runtime.json written");
-    println!("wrote {}", out.display());
-}
+    println!(
+        "runtime/resume_fraction                  resumed {:.2} ms / cold {:.2} ms = {:.3} (checkpoint {ck_bytes} bytes)",
+        resumed * 1e3,
+        cold * 1e3,
+        resumed / cold
+    );
 
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/bench sits two levels below the repo root")
-        .to_path_buf()
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_dir_all(&spool_dir);
 }
 
 criterion_group!(benches, bench);

@@ -22,6 +22,8 @@ use crate::plan::{score_slot, BiasPlan, EvalPlan, Slot};
 use crate::weights::AdaptiveWeights;
 use oblx_awe::{Demand, ReducedModel};
 use oblx_devices::{BjtOp, DiodeOp, MosOp, Region};
+use oblx_linalg::Mat;
+use oblx_mna::dc::linear_stamp_into;
 use oblx_mna::{LinElement, LinearSystem, MosInstance, OutputSelector, SizedCircuit};
 use oblx_netlist::{builtin_call, EvalContext, EvalError, Expr, Goal, SpecKind};
 use std::collections::HashMap;
@@ -323,10 +325,12 @@ impl EvalContext for SpecContext<'_> {
 pub struct EvalStats {
     /// Full netlist rebuilds (no plan available).
     pub cold: u64,
-    /// Plan-based full updates (every binding re-applied, everything
-    /// recomputed — but no string work).
+    /// Full slot updates: the slot was invalid or a variable of a linear
+    /// bias element moved, so every device, jig binding and jig is
+    /// redone (but no string work).
     pub full: u64,
-    /// Incremental updates (only dirty bindings/devices/jigs redone).
+    /// Incremental slot updates: only the moved free nodes, the devices
+    /// they or a changed geometry reach, and the jigs those touch.
     pub incremental: u64,
     /// Exact state matches rescored from a cached slot.
     pub cached: u64,
@@ -490,8 +494,22 @@ impl<'a> CostEvaluator<'a> {
             .map(|d| d.model.op(d.area, volt(d.a) - volt(d.k)))
             .collect();
 
-        // KCL residuals: linear part via stamps, devices from the ops.
-        let residual = kcl_residual(&bias, &x, &mos_ops, &bjt_ops, &diode_ops);
+        // KCL residuals: linear part via a fresh stamp, devices from the
+        // ops.
+        let dim = bias.dim();
+        let mut g = Mat::zeros(dim, dim);
+        let mut rhs = Vec::with_capacity(dim);
+        linear_stamp_into(&bias, 1.0, &mut g, &mut rhs);
+        let mut residual = Vec::with_capacity(dim);
+        kcl_residual(
+            &bias,
+            (&g, &rhs),
+            &x,
+            &mos_ops,
+            &bjt_ops,
+            &diode_ops,
+            &mut residual,
+        );
 
         // Jig small-signal systems stamped from the bias-device models.
         let mos_by_name: HashMap<&str, usize> = bias
@@ -642,8 +660,8 @@ impl<'a> CostEvaluator<'a> {
         result
     }
 
-    /// The plan path: exact-match rescore, incremental update, or
-    /// plan-full update — in that order of preference.
+    /// The plan path: an exact-match rescore, or an update of the
+    /// victim slot ([`Slot::update`]).
     fn plan_evaluate(
         &mut self,
         user: &[f64],
@@ -690,15 +708,7 @@ impl<'a> CostEvaluator<'a> {
         };
         let slot = &mut slots[vi];
         slot.stamp = *clock;
-        if slot.can_increment(bias, user, nodes) {
-            stats.incremental += 1;
-            oblx_telemetry::incr(oblx_telemetry::Counter::EvalIncremental);
-            slot.update_incremental(bias, plan, user, nodes)?;
-        } else {
-            stats.full += 1;
-            oblx_telemetry::incr(oblx_telemetry::Counter::EvalFull);
-            slot.update_full(bias, plan, user, nodes)?;
-        }
+        slot.update(bias, plan, user, nodes, stats)?;
         score_slot(compiled, bias, plan, slot, weights, user)
     }
 
@@ -932,24 +942,26 @@ pub fn mos_region_penalty_for(op: &MosOp, req: RegionRequirement) -> f64 {
     }
 }
 
-/// KCL residual vector for a bias circuit at MNA vector `x` (branch
-/// currents zeroed) with device currents from the supplied ops.
-pub fn kcl_residual(
+/// KCL residual `f = G·x − rhs + device currents` of a bias circuit at
+/// MNA vector `x` (branch currents zeroed), into `f`: `(G, rhs)` is the
+/// circuit's linear stamp at unit source scale and the device currents
+/// come from the supplied ops. The cold path stamps a fresh pair; a plan
+/// slot passes the pair its [`crate::plan::PatchedBias`] caches, so both
+/// paths run this one arithmetic.
+pub(crate) fn kcl_residual(
     bias: &SizedCircuit,
+    (g, rhs): (&Mat<f64>, &[f64]),
     x: &[f64],
     mos_ops: &[MosOp],
     bjt_ops: &[BjtOp],
     diode_ops: &[DiodeOp],
-) -> Vec<f64> {
-    let dim = bias.dim();
-    let mut g = oblx_linalg::Mat::zeros(dim, dim);
-    let mut rhs = Vec::with_capacity(dim);
-    oblx_mna::dc::linear_stamp_into(bias, 1.0, &mut g, &mut rhs);
-    let mut f = g.mul_vec(x);
-    for (fi, r) in f.iter_mut().zip(rhs.iter()) {
+    f: &mut Vec<f64>,
+) {
+    g.mul_vec_into(x, f);
+    for (fi, r) in f.iter_mut().zip(rhs) {
         *fi -= r;
     }
-    for (m, op) in bias.mosfets.iter().zip(mos_ops.iter()) {
+    for (m, op) in bias.mosfets.iter().zip(mos_ops) {
         if let Some(d) = m.d {
             f[d] += op.id;
         }
@@ -957,7 +969,7 @@ pub fn kcl_residual(
             f[s] -= op.id;
         }
     }
-    for (q, op) in bias.bjts.iter().zip(bjt_ops.iter()) {
+    for (q, op) in bias.bjts.iter().zip(bjt_ops) {
         if let Some(c) = q.c {
             f[c] += op.ic;
         }
@@ -968,7 +980,7 @@ pub fn kcl_residual(
             f[e] -= op.ic + op.ib;
         }
     }
-    for (d, op) in bias.diodes.iter().zip(diode_ops.iter()) {
+    for (d, op) in bias.diodes.iter().zip(diode_ops) {
         if let Some(a) = d.a {
             f[a] += op.id;
         }
@@ -976,7 +988,6 @@ pub fn kcl_residual(
             f[k] -= op.id;
         }
     }
-    f
 }
 
 #[cfg(test)]

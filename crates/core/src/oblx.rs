@@ -12,8 +12,7 @@ use crate::cost::{CostBreakdown, CostEvaluator};
 use crate::plan::{BiasPlan, PatchedBias};
 use crate::weights::{AdaptiveWeights, WeightsSnapshot};
 use oblx_anneal::{
-    AnnealCheckpoint, AnnealOptions, AnnealProblem, Annealer, ControlledOutcome, Directive,
-    DirtySet, Trace,
+    AnnealCheckpoint, AnnealOptions, AnnealProblem, Annealer, ControlledOutcome, Directive, Trace,
 };
 use oblx_linalg::{Lu, Mat};
 use oblx_mna::dc::{linearize_at, linearize_into};
@@ -313,7 +312,7 @@ impl<'a> OblxProblem<'a> {
             evaluator, newton, ..
         } = self;
         let (bias, ws) = (evaluator.bias_plan()?, newton.as_mut()?);
-        ws.bias.sync(bias, &state.user).ok()?;
+        ws.bias.sync(bias, &state.user, |_| {}).ok()?;
         let free = bias.free_nodes();
         if free.is_empty() {
             return None;
@@ -455,40 +454,23 @@ impl AnnealProblem for OblxProblem<'_> {
         scale: f64,
         rng: &mut dyn Rng,
     ) -> Option<OblxState> {
-        self.propose_dirty(state, class, scale, rng).map(|(s, _)| s)
-    }
-
-    /// Proposes a move together with the set of variables it touched.
-    /// The dirty set is a *superset* declaration: every variable whose
-    /// value may differ from `state` is listed (validated in debug
-    /// builds), which is what lets an incremental evaluator skip
-    /// untouched devices and jigs downstream.
-    fn propose_dirty(
-        &mut self,
-        state: &OblxState,
-        class: usize,
-        scale: f64,
-        rng: &mut dyn Rng,
-    ) -> Option<(OblxState, DirtySet)> {
         let nu = state.user.len();
         let nn = state.nodes.len();
-        let proposed = match class {
+        match class {
             move_class::USER_SINGLE if nu > 0 => {
                 let i = (rng.next_u64() as usize) % nu;
                 let mut next = state.clone();
                 next.user[i] = self.perturb_user(state, i, scale, rng);
-                Some((next, DirtySet::of(vec![i], Vec::new())))
+                Some(next)
             }
             move_class::USER_MULTI if nu > 1 => {
                 let mut next = state.clone();
                 let count = 2 + (rng.next_u64() as usize) % nu.min(3);
-                let mut touched = Vec::with_capacity(count);
                 for _ in 0..count {
                     let i = (rng.next_u64() as usize) % nu;
                     next.user[i] = self.perturb_user(&next, i, scale * 0.5, rng);
-                    touched.push(i);
                 }
-                Some((next, DirtySet::of(touched, Vec::new())))
+                Some(next)
             }
             move_class::NODE_SINGLE if nn > 0 => {
                 let k = (rng.next_u64() as usize) % nn;
@@ -496,7 +478,7 @@ impl AnnealProblem for OblxProblem<'_> {
                 let r = rng.random::<f64>() * 2.0 - 1.0;
                 next.nodes[k] = (next.nodes[k] + r * scale * 0.5 * (self.node_hi - self.node_lo))
                     .clamp(self.node_lo, self.node_hi);
-                Some((next, DirtySet::of(Vec::new(), vec![k])))
+                Some(next)
             }
             move_class::NODE_ALL if nn > 0 => {
                 let mut next = state.clone();
@@ -505,14 +487,14 @@ impl AnnealProblem for OblxProblem<'_> {
                     *v = (*v + r * scale * 0.1 * (self.node_hi - self.node_lo))
                         .clamp(self.node_lo, self.node_hi);
                 }
-                Some((next, DirtySet::of(Vec::new(), (0..nn).collect())))
+                Some(next)
             }
-            move_class::NEWTON_FULL if nn > 0 && !self.opts.disable_newton_moves => self
-                .newton_move(state, 1.0)
-                .map(|s| (s, DirtySet::of(Vec::new(), (0..nn).collect()))),
-            move_class::NEWTON_PARTIAL if nn > 0 && !self.opts.disable_newton_moves => self
-                .newton_move(state, 0.3)
-                .map(|s| (s, DirtySet::of(Vec::new(), (0..nn).collect()))),
+            move_class::NEWTON_FULL if nn > 0 && !self.opts.disable_newton_moves => {
+                self.newton_move(state, 1.0)
+            }
+            move_class::NEWTON_PARTIAL if nn > 0 && !self.opts.disable_newton_moves => {
+                self.newton_move(state, 0.3)
+            }
             move_class::USER_WITH_NEWTON if nu > 0 && nn > 0 && !self.opts.disable_newton_moves => {
                 let i = (rng.next_u64() as usize) % nu;
                 let mut next = state.clone();
@@ -523,15 +505,10 @@ impl AnnealProblem for OblxProblem<'_> {
                 if let Some(again) = self.newton_move(&corrected, 1.0) {
                     corrected.nodes = again.nodes;
                 }
-                Some((corrected, DirtySet::of(vec![i], (0..nn).collect())))
+                Some(corrected)
             }
             _ => None,
-        };
-        #[cfg(debug_assertions)]
-        if let Some((next, dirty)) = &proposed {
-            validate_dirty(state, next, dirty);
         }
-        proposed
     }
 
     fn telemetry_names(&self) -> Vec<String> {
@@ -548,27 +525,6 @@ impl AnnealProblem for OblxProblem<'_> {
             .evaluator
             .evaluate(&state.user, &state.nodes, &self.weights);
         vec![b.kcl_max, b.c_dc, b.c_perf, b.c_obj]
-    }
-}
-
-/// Debug check of the dirty-set contract: every variable whose value
-/// differs (bitwise) between `state` and `next` must be declared.
-#[cfg(debug_assertions)]
-fn validate_dirty(state: &OblxState, next: &OblxState, dirty: &DirtySet) {
-    if dirty.all {
-        return;
-    }
-    for (i, (a, b)) in state.user.iter().zip(next.user.iter()).enumerate() {
-        assert!(
-            a.to_bits() == b.to_bits() || dirty.primary_dirty(i),
-            "move changed user var {i} without declaring it dirty"
-        );
-    }
-    for (k, (a, b)) in state.nodes.iter().zip(next.nodes.iter()).enumerate() {
-        assert!(
-            a.to_bits() == b.to_bits() || dirty.aux_dirty(k),
-            "move changed node voltage {k} without declaring it dirty"
-        );
     }
 }
 
@@ -668,7 +624,6 @@ pub fn synthesize_controlled(
         seed: opts.seed,
         trace_every: opts.trace_every,
         quench_patience: opts.quench_patience,
-        ..AnnealOptions::default()
     });
     let (seed, budget) = (opts.seed, opts.moves_budget);
     let mut stopped: Option<SynthesisCheckpoint> = None;

@@ -20,14 +20,16 @@
 //!   index form up front, each with the demand that
 //!   [`crate::astrx::compile`] decided for its handle.
 //!
-//! A [`Slot`] is one materialized configuration: the bound circuits,
-//! device operating points, KCL residual, and AWE models for a specific
-//! `(user, nodes)` vector pair. The evaluator keeps two slots and diffs
-//! a proposed state against one of them by bitwise comparison, which
-//! enables three progressively cheaper re-evaluation modes: plan-full
-//! (all bindings re-applied, everything recomputed), incremental (only
-//! dirty bindings, devices, and jigs recomputed), and cached rescore
-//! (state seen before; only the weighted sum is recomputed).
+//! A [`Slot`] is one materialized configuration: a [`PatchedBias`] (the
+//! bias circuit patched to the slot's user vector, with its determined
+//! voltages and KCL stamp), the device operating points, the KCL
+//! residual, and the AWE models for a specific `(user, nodes)` vector
+//! pair. The evaluator keeps two slots. A state one of them holds
+//! bitwise is only rescored under the current weights; any other state
+//! goes through [`Slot::update`], which diffs it bitwise against a slot
+//! and redoes what the diff reaches. The update is *full* when the slot
+//! is invalid or a variable of a linear bias element moved; it then
+//! redoes every device, jig binding and jig.
 //!
 //! Invariant: every numeric result produced through a plan is
 //! **bit-identical** to the cold path, because both run the same
@@ -35,7 +37,10 @@
 //! same AWE entry point. Debug builds verify this on every evaluation.
 
 use crate::astrx::{determined_voltages, CompiledProblem};
-use crate::cost::{area_of, power_of, score_with, CostBreakdown, EvalFailure, MeasureSource};
+use crate::cost::{
+    area_of, kcl_residual, power_of, score_with, CostBreakdown, EvalFailure, EvalStats,
+    MeasureSource,
+};
 use crate::weights::AdaptiveWeights;
 use oblx_awe::{AweEngine, Demand, ReducedModel};
 use oblx_devices::{BjtOp, DiodeOp, MosOp};
@@ -47,7 +52,7 @@ use oblx_netlist::{ElementKind, EvalContext, EvalError, Expr, Netlist};
 /// Where a bound value lands in a circuit skeleton. The index is into
 /// the skeleton's `linear` / `mosfets` / `bjts` / `diodes` list.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum BindTarget {
+pub(crate) enum BindTarget {
     /// Resistor conductance (`g = 1/value`).
     Resistor(usize),
     /// Capacitor value.
@@ -236,7 +241,7 @@ impl JigPlan {
 /// [`crate::astrx::compile`] already assembled at the same point, so it
 /// builds for every compiled problem, even when a jig makes the
 /// [`EvalPlan`] decline. The evaluation slots and OBLX's Newton moves
-/// both patch their copies of the template through [`BiasPlan::patch`].
+/// each keep a [`PatchedBias`] copy of the template.
 #[derive(Debug, Clone)]
 pub(crate) struct BiasPlan {
     /// User-variable names, parallel to the value vector.
@@ -244,8 +249,8 @@ pub(crate) struct BiasPlan {
     bindings: Vec<Binding>,
     /// Per user variable: `true` when it appears in a *linear* bias
     /// element value. Changing such a variable invalidates the
-    /// determined-voltage tree and the linear stamps, forcing a
-    /// plan-full update.
+    /// determined-voltage tree and the linear stamps, forcing a full
+    /// slot update.
     linear_var: Vec<bool>,
     /// Free bias-node indices in node-variable order (structural:
     /// independent of element values).
@@ -293,7 +298,7 @@ impl BiasPlan {
     /// `true` when every changed user variable (bitwise, `from` vs.
     /// `to`) avoids the linear bias elements, so determined voltages
     /// and linear stamps computed at `from` hold at `to`.
-    pub(crate) fn linear_unchanged(&self, from: &[f64], to: &[f64]) -> bool {
+    fn linear_unchanged(&self, from: &[f64], to: &[f64]) -> bool {
         from.len() == to.len()
             && from
                 .iter()
@@ -303,21 +308,21 @@ impl BiasPlan {
     }
 
     /// Patches `ckt` (a copy of the template) to the user vector
-    /// `user`: every binding for `dirty == None`, else only those whose
-    /// variables are flagged dirty. `applied` sees the target of each
-    /// binding written, in order. Stops at the first failing binding,
-    /// leaving `ckt` partly patched; the caller must then re-patch every
-    /// binding before trusting it again.
+    /// `user`, re-applying the bindings whose variables are flagged in
+    /// `changed`. `applied` sees the target of each binding written, in
+    /// order. Stops at the first failing binding, leaving `ckt` partly
+    /// patched; the caller must then re-patch every binding before
+    /// trusting it again.
     fn patch(
         &self,
         ckt: &mut SizedCircuit,
         user: &[f64],
-        dirty: Option<&[bool]>,
+        changed: &[bool],
         mut applied: impl FnMut(BindTarget),
     ) -> Result<(), EvalFailure> {
         let ctx = self.ctx(user);
         for b in &self.bindings {
-            if dirty.is_none_or(|d| b.dirty(d)) {
+            if b.dirty(changed) {
                 b.apply(ckt, &ctx)?;
                 applied(b.target);
             }
@@ -344,12 +349,14 @@ fn free_nodes_of(det: &[Option<f64>]) -> Vec<usize> {
 }
 
 /// A private copy of the bias template kept patched to one user vector,
-/// with the value-dependent data a relaxed-dc Newton step reads: the
-/// determined voltages and the linear stamps `(G, rhs)` at unit source
-/// scale. [`PatchedBias::sync`] re-applies only the bindings whose
-/// variables changed since the last sync, and recomputes the rest only
-/// when a linear variable moved, so every field equals what a
-/// from-scratch build at the same user vector would give, bit for bit.
+/// with the value-dependent data derived from it: the determined
+/// voltages and the linear stamps `(G, rhs)` at unit source scale, which
+/// a relaxed-dc Newton step and the KCL residual read.
+/// [`PatchedBias::sync`] re-applies only the bindings whose variables
+/// changed since the last sync, and recomputes the rest only when a
+/// linear variable moved, so every field equals what a from-scratch
+/// build at the same user vector would give, bit for bit. OBLX's Newton
+/// move and every evaluation [`Slot`] own one.
 #[derive(Debug, Clone)]
 pub(crate) struct PatchedBias {
     ckt: SizedCircuit,
@@ -362,8 +369,9 @@ pub(crate) struct PatchedBias {
     det: Vec<Option<f64>>,
     g: Mat<f64>,
     rhs: Vec<f64>,
-    /// Scratch: per user variable, changed since the last sync.
-    dirty: Vec<bool>,
+    /// Per user variable: changed by the last sync (bitwise), or every
+    /// entry when that sync re-applied every binding.
+    changed: Vec<bool>,
 }
 
 impl PatchedBias {
@@ -376,34 +384,52 @@ impl PatchedBias {
             det: Vec::new(),
             g: Mat::zeros(dim, dim),
             rhs: Vec::new(),
-            dirty: Vec::new(),
+            changed: Vec::new(),
         }
     }
 
-    /// Brings the circuit to `user`.
+    /// `true` when the circuit is patched to exactly `user` (bitwise).
+    fn holds(&self, user: &[f64]) -> bool {
+        self.valid && same_bits(&self.user, user)
+    }
+
+    /// `true` when a sync to `user` recomputes the determined voltages
+    /// and the linear stamps: the circuit is invalid, or a variable of a
+    /// linear bias element moved.
+    fn relinearizes(&self, bias: &BiasPlan, user: &[f64]) -> bool {
+        !self.valid || !bias.linear_unchanged(&self.user, user)
+    }
+
+    /// Brings the circuit to `user`. `applied` sees the target of each
+    /// binding re-applied, in order.
     ///
     /// # Errors
     ///
     /// The first failing binding's [`EvalFailure`], exactly where
     /// [`SizedCircuit::build`] would fail at `user`.
-    pub(crate) fn sync(&mut self, bias: &BiasPlan, user: &[f64]) -> Result<(), EvalFailure> {
-        let full = !self.valid || self.user.len() != user.len();
-        if !full {
-            self.dirty.clear();
-            self.dirty.extend(
+    pub(crate) fn sync(
+        &mut self,
+        bias: &BiasPlan,
+        user: &[f64],
+        applied: impl FnMut(BindTarget),
+    ) -> Result<(), EvalFailure> {
+        let relinearize = self.relinearizes(bias, user);
+        self.changed.clear();
+        if self.valid && self.user.len() == user.len() {
+            self.changed.extend(
                 self.user
                     .iter()
                     .zip(user)
                     .map(|(a, b)| a.to_bits() != b.to_bits()),
             );
-            if !self.dirty.contains(&true) {
+            if !self.changed.contains(&true) {
                 return Ok(());
             }
+        } else {
+            self.changed.resize(user.len(), true);
         }
-        let relinearize = full || !bias.linear_unchanged(&self.user, user);
         self.valid = false;
-        let dirty = (!full).then_some(self.dirty.as_slice());
-        bias.patch(&mut self.ckt, user, dirty, |_| {})?;
+        bias.patch(&mut self.ckt, user, &self.changed, applied)?;
         if relinearize {
             self.det = determined_voltages(&self.ckt);
             debug_assert!(
@@ -432,6 +458,11 @@ impl PatchedBias {
     pub(crate) fn linear(&self) -> (&Mat<f64>, &[f64]) {
         (&self.g, &self.rhs)
     }
+}
+
+/// `true` when two vectors are equal bit for bit.
+fn same_bits(a: &[f64], b: &[f64]) -> bool {
+    a.len() == b.len() && a.iter().zip(b).all(|(x, y)| x.to_bits() == y.to_bits())
 }
 
 /// The precompiled evaluation plan for one [`CompiledProblem`]: jigs
@@ -473,7 +504,8 @@ impl EvalPlan {
         let mut mos_ops = vec![MosOp::default(); bias.mosfets.len()];
         let mut bjt_ops = vec![BjtOp::default(); bias.bjts.len()];
         let mut diode_ops = vec![DiodeOp::default(); bias.diodes.len()];
-        eval_devices(bias, &x, None, &mut mos_ops, &mut bjt_ops, &mut diode_ops);
+        let every = DirtyDevices::new(bias, true);
+        eval_devices(bias, &x, &every, &mut mos_ops, &mut bjt_ops, &mut diode_ops);
 
         let mut jigs: Vec<JigPlan> = Vec::new();
         // Source netlists parallel to `jigs`, for structural dedup.
@@ -685,8 +717,7 @@ struct JigSlot {
     diode_ops: Vec<DiodeOp>,
 }
 
-/// Per-kind flags over the bias devices: the ones whose geometry or
-/// terminal voltages changed on an incremental update.
+/// Per-kind flags over the bias devices: the ones an update re-evaluates.
 #[derive(Debug)]
 struct DirtyDevices {
     mos: Vec<bool>,
@@ -694,33 +725,44 @@ struct DirtyDevices {
     diode: Vec<bool>,
 }
 
-/// Evaluates bias-device operating points in place at node voltages
-/// `x`: the devices flagged in `only`, or every device for `None`. Each
-/// is the scalar call the cold path ([`crate::CostEvaluator::record`])
-/// makes, with the same arguments, so the results are bit-identical.
+impl DirtyDevices {
+    /// Flags over the devices of `bias`, every one set to `all`.
+    fn new(bias: &SizedCircuit, all: bool) -> DirtyDevices {
+        DirtyDevices {
+            mos: vec![all; bias.mosfets.len()],
+            bjt: vec![all; bias.bjts.len()],
+            diode: vec![all; bias.diodes.len()],
+        }
+    }
+}
+
+/// Evaluates the bias-device operating points flagged in `only`, in
+/// place, at node voltages `x`. Each is the scalar call the cold path
+/// ([`crate::CostEvaluator::record`]) makes, with the same arguments, so
+/// the results are bit-identical.
 fn eval_devices(
     bias: &SizedCircuit,
     x: &[f64],
-    only: Option<&DirtyDevices>,
+    only: &DirtyDevices,
     mos_ops: &mut [MosOp],
     bjt_ops: &mut [BjtOp],
     diode_ops: &mut [DiodeOp],
 ) {
     let volt = |n: Option<usize>| n.map_or(0.0, |i| x[i]);
     for (i, m) in bias.mosfets.iter().enumerate() {
-        if only.is_none_or(|f| f.mos[i]) {
+        if only.mos[i] {
             mos_ops[i] = m
                 .model
                 .op(m.w, m.l, volt(m.d), volt(m.g), volt(m.s), volt(m.b));
         }
     }
     for (i, q) in bias.bjts.iter().enumerate() {
-        if only.is_none_or(|f| f.bjt[i]) {
+        if only.bjt[i] {
             bjt_ops[i] = q.model.op(q.area, volt(q.c), volt(q.b), volt(q.e));
         }
     }
     for (i, d) in bias.diodes.iter().enumerate() {
-        if only.is_none_or(|f| f.diode[i]) {
+        if only.diode[i] {
             diode_ops[i] = d.model.op(d.area, volt(d.a) - volt(d.k));
         }
     }
@@ -728,27 +770,22 @@ fn eval_devices(
 
 /// One materialized configuration: everything derived from a specific
 /// `(user, nodes)` pair. `valid == false` means a previous update
-/// failed partway and nothing here may be reused except as a target
-/// for a plan-full update (which rewrites every bound value).
+/// failed partway and nothing here may be reused except as the target
+/// of a full update. The [`PatchedBias`] keeps its own validity, so a
+/// failure after the bias synced costs the next update no re-patch.
 #[derive(Debug, Clone)]
 pub(crate) struct Slot {
     valid: bool,
     /// LRU clock stamp, maintained by the evaluator.
     pub(crate) stamp: u64,
-    user: Vec<f64>,
+    /// The bias circuit at the slot's user vector, its determined
+    /// voltages and its KCL stamp.
+    bias: PatchedBias,
     nodes: Vec<f64>,
-    bias: SizedCircuit,
-    det: Vec<Option<f64>>,
     x: Vec<f64>,
     mos_ops: Vec<MosOp>,
     bjt_ops: Vec<BjtOp>,
     diode_ops: Vec<DiodeOp>,
-    /// KCL conductance matrix and source vector (stamped with unit
-    /// source scale, exactly as [`crate::cost::kcl_residual`]); reused
-    /// across incremental updates because linear values are frozen on
-    /// that path.
-    kcl_g: Mat<f64>,
-    kcl_rhs: Vec<f64>,
     residual: Vec<f64>,
     jigs: Vec<JigSlot>,
     /// AWE models in flat analysis order. All `Some` once any update
@@ -758,21 +795,17 @@ pub(crate) struct Slot {
 
 impl Slot {
     pub(crate) fn new(bias: &BiasPlan, plan: &EvalPlan) -> Slot {
-        let bias = &bias.template;
-        let dim = bias.dim();
+        let template = &bias.template;
+        let dim = template.dim();
         Slot {
             valid: false,
             stamp: 0,
-            user: Vec::new(),
+            bias: PatchedBias::new(bias),
             nodes: Vec::new(),
-            bias: bias.clone(),
-            det: Vec::new(),
             x: vec![0.0; dim],
-            mos_ops: vec![MosOp::default(); bias.mosfets.len()],
-            bjt_ops: vec![BjtOp::default(); bias.bjts.len()],
-            diode_ops: vec![DiodeOp::default(); bias.diodes.len()],
-            kcl_g: Mat::zeros(dim, dim),
-            kcl_rhs: vec![0.0; dim],
+            mos_ops: vec![MosOp::default(); template.mosfets.len()],
+            bjt_ops: vec![BjtOp::default(); template.bjts.len()],
+            diode_ops: vec![DiodeOp::default(); template.diodes.len()],
             residual: vec![0.0; dim],
             jigs: plan
                 .jigs
@@ -795,233 +828,128 @@ impl Slot {
 
     /// `true` when the slot holds exactly this state (bitwise).
     pub(crate) fn matches(&self, user: &[f64], nodes: &[f64]) -> bool {
-        self.valid
-            && self.user.len() == user.len()
-            && self.nodes.len() == nodes.len()
-            && self
-                .user
-                .iter()
-                .zip(user)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
-            && self
-                .nodes
-                .iter()
-                .zip(nodes)
-                .all(|(a, b)| a.to_bits() == b.to_bits())
+        self.valid && self.bias.holds(user) && same_bits(&self.nodes, nodes)
     }
 
-    /// `true` when an incremental update against this slot is legal for
-    /// the proposed state.
-    pub(crate) fn can_increment(&self, bias: &BiasPlan, user: &[f64], nodes: &[f64]) -> bool {
-        self.valid && self.nodes.len() == nodes.len() && bias.linear_unchanged(&self.user, user)
-    }
-
-    /// Re-applies every binding and recomputes everything. Mirrors the
-    /// cold path operation for operation; the only work skipped is the
-    /// structural kind (interning, name maps, model lookup).
-    pub(crate) fn update_full(
+    /// Brings the slot to `(user, nodes)`, counting the path it takes
+    /// in `stats`.
+    ///
+    /// The update is *full* when the slot is invalid or a variable of a
+    /// linear bias element moved, so that the determined voltages and
+    /// the KCL stamp change: it rebuilds `x` and redoes every device,
+    /// jig binding and jig. Any other update redoes the free nodes that
+    /// moved, the devices on those nodes or with a re-applied geometry
+    /// binding, and the jigs whose bindings or devices changed; a clean
+    /// jig's inputs are bitwise those its models were computed from.
+    /// Both re-apply only the bias bindings whose variables changed
+    /// since the [`PatchedBias`] last synced. The residual is always
+    /// recomputed in full from the cached stamp: incremental column
+    /// updates would accumulate floating-point drift and break
+    /// bit-identity with the cold path.
+    pub(crate) fn update(
         &mut self,
         bias: &BiasPlan,
         plan: &EvalPlan,
         user: &[f64],
         nodes: &[f64],
+        stats: &mut EvalStats,
     ) -> Result<(), EvalFailure> {
-        self.valid = false;
-        self.user.clear();
-        self.user.extend_from_slice(user);
-        self.nodes.clear();
-        self.nodes.extend_from_slice(nodes);
-        bias.patch(&mut self.bias, user, None, |_| {})?;
-        self.det = determined_voltages(&self.bias);
-        debug_assert!(
-            free_nodes_of(&self.det) == bias.free_nodes,
-            "free-node pattern must be value-independent"
-        );
-        for v in self.x.iter_mut() {
-            *v = 0.0;
+        let full =
+            !self.valid || self.nodes.len() != nodes.len() || self.bias.relinearizes(bias, user);
+        if full {
+            stats.full += 1;
+            oblx_telemetry::incr(oblx_telemetry::Counter::EvalFull);
+        } else {
+            stats.incremental += 1;
+            oblx_telemetry::incr(oblx_telemetry::Counter::EvalIncremental);
         }
-        let mut free_i = 0usize;
-        for (i, dv) in self.det.iter().enumerate() {
-            match dv {
-                Some(v) => self.x[i] = *v,
-                None => {
-                    self.x[i] = nodes.get(free_i).copied().unwrap_or(0.0);
-                    free_i += 1;
+        self.valid = false;
+        let mut devices = DirtyDevices::new(&bias.template, full);
+        // A linear binding is re-applied only on a full update, which
+        // redoes every device anyway.
+        self.bias.sync(bias, user, |t| match t {
+            BindTarget::MosW(i) | BindTarget::MosL(i) => devices.mos[i] = true,
+            BindTarget::BjtArea(i) => devices.bjt[i] = true,
+            BindTarget::DiodeArea(i) => devices.diode[i] = true,
+            _ => {}
+        })?;
+        let ckt = self.bias.circuit();
+        if full {
+            let mut free_v = nodes.iter().copied();
+            for (xi, dv) in self.x.iter_mut().zip(self.bias.det()) {
+                *xi = match dv {
+                    Some(v) => *v,
+                    None => free_v.next().unwrap_or(0.0),
+                };
+            }
+        } else {
+            let mut node_moved = vec![false; ckt.nodes.len()];
+            for ((&ni, old), new) in bias.free_nodes.iter().zip(&self.nodes).zip(nodes) {
+                if old.to_bits() != new.to_bits() {
+                    self.x[ni] = *new;
+                    node_moved[ni] = true;
+                }
+            }
+            // Operating points are pure functions of geometry and
+            // terminal voltages.
+            let moved = |n: Option<usize>| n.is_some_and(|i| node_moved[i]);
+            for (i, m) in ckt.mosfets.iter().enumerate() {
+                if moved(m.d) || moved(m.g) || moved(m.s) || moved(m.b) {
+                    devices.mos[i] = true;
+                }
+            }
+            for (i, q) in ckt.bjts.iter().enumerate() {
+                if moved(q.c) || moved(q.b) || moved(q.e) {
+                    devices.bjt[i] = true;
+                }
+            }
+            for (i, d) in ckt.diodes.iter().enumerate() {
+                if moved(d.a) || moved(d.k) {
+                    devices.diode[i] = true;
                 }
             }
         }
+        self.nodes.clear();
+        self.nodes.extend_from_slice(nodes);
         eval_devices(
-            &self.bias,
+            ckt,
             &self.x,
-            None,
+            &devices,
             &mut self.mos_ops,
             &mut self.bjt_ops,
             &mut self.diode_ops,
         );
-        // KCL linear part: unit source scale, identical stamp order to
-        // `cost::kcl_residual`.
-        linear_stamp_into(&self.bias, 1.0, &mut self.kcl_g, &mut self.kcl_rhs);
-        self.recompute_residual();
-        let Slot {
-            jigs,
-            mos_ops,
-            bjt_ops,
-            diode_ops,
-            models,
-            ..
-        } = self;
-        let ctx = bias.ctx(user);
-        for (jp, js) in plan.jigs.iter().zip(jigs.iter_mut()) {
-            for b in &jp.bindings {
-                b.apply(&mut js.ckt, &ctx)?;
-            }
-            js.rerun(jp, mos_ops, bjt_ops, diode_ops, models, plan.awe_order)?;
-        }
-        self.valid = true;
-        Ok(())
-    }
-
-    /// Recomputes only what the bitwise state diff shows to be dirty.
-    ///
-    /// Precondition (checked by [`Slot::can_increment`]): the slot is
-    /// valid and no changed user variable feeds a linear bias element,
-    /// so the determined-voltage tree and the KCL matrix carry over.
-    /// The residual is nonetheless always recomputed in full from the
-    /// cached matrix — incremental column updates would accumulate
-    /// floating-point drift and break bit-identity with the cold path.
-    pub(crate) fn update_incremental(
-        &mut self,
-        bias: &BiasPlan,
-        plan: &EvalPlan,
-        user: &[f64],
-        nodes: &[f64],
-    ) -> Result<(), EvalFailure> {
-        let dirty_user: Vec<bool> = self
-            .user
-            .iter()
-            .zip(user)
-            .map(|(a, b)| a.to_bits() != b.to_bits())
-            .collect();
-        let dirty_node: Vec<bool> = self
-            .nodes
-            .iter()
-            .zip(nodes)
-            .map(|(a, b)| a.to_bits() != b.to_bits())
-            .collect();
-        self.valid = false;
-        self.user.copy_from_slice(user);
-        self.nodes.copy_from_slice(nodes);
-        // 1. Dirty bias bindings. Only geometry targets can appear here
-        //    (linear targets force a plan-full update).
-        let mut dirty = DirtyDevices {
-            mos: vec![false; self.bias.mosfets.len()],
-            bjt: vec![false; self.bias.bjts.len()],
-            diode: vec![false; self.bias.diodes.len()],
-        };
-        bias.patch(&mut self.bias, user, Some(&dirty_user), |t| match t {
-            BindTarget::MosW(i) | BindTarget::MosL(i) => dirty.mos[i] = true,
-            BindTarget::BjtArea(i) => dirty.bjt[i] = true,
-            BindTarget::DiodeArea(i) => dirty.diode[i] = true,
-            _ => unreachable!("linear bias binding on the incremental path"),
-        })?;
-        // 2. Dirty free-node voltages.
-        let mut node_changed = vec![false; self.bias.nodes.len()];
-        for (k, &ni) in bias.free_nodes.iter().enumerate() {
-            if k < dirty_node.len() && dirty_node[k] {
-                self.x[ni] = nodes[k];
-                node_changed[ni] = true;
-            }
-        }
-        // 3. Re-evaluate devices whose geometry or terminal voltages
-        //    changed; operating points are pure functions of both.
-        let moved = |n: Option<usize>| n.is_some_and(|i| node_changed[i]);
-        for (i, m) in self.bias.mosfets.iter().enumerate() {
-            if moved(m.d) || moved(m.g) || moved(m.s) || moved(m.b) {
-                dirty.mos[i] = true;
-            }
-        }
-        for (i, q) in self.bias.bjts.iter().enumerate() {
-            if moved(q.c) || moved(q.b) || moved(q.e) {
-                dirty.bjt[i] = true;
-            }
-        }
-        for (i, d) in self.bias.diodes.iter().enumerate() {
-            if moved(d.a) || moved(d.k) {
-                dirty.diode[i] = true;
-            }
-        }
-        eval_devices(
-            &self.bias,
+        kcl_residual(
+            ckt,
+            self.bias.linear(),
             &self.x,
-            Some(&dirty),
-            &mut self.mos_ops,
-            &mut self.bjt_ops,
-            &mut self.diode_ops,
+            &self.mos_ops,
+            &self.bjt_ops,
+            &self.diode_ops,
+            &mut self.residual,
         );
-        // 4. Residual: full recompute from the cached linear stamps.
-        self.recompute_residual();
-        // 5. Jigs intersecting the dirty set: rebind, restamp, re-AWE.
-        //    A clean jig's models are untouched — its inputs are
-        //    bitwise identical to when they were last computed.
-        let Slot {
-            jigs,
-            mos_ops,
-            bjt_ops,
-            diode_ops,
-            models,
-            ..
-        } = self;
+        let changed = &self.bias.changed;
         let ctx = bias.ctx(user);
-        for (jp, js) in plan.jigs.iter().zip(jigs.iter_mut()) {
-            if !jp.dirty(&dirty_user, &dirty) {
+        for (jp, js) in plan.jigs.iter().zip(self.jigs.iter_mut()) {
+            if !full && !jp.dirty(changed, &devices) {
                 continue;
             }
             for b in &jp.bindings {
-                if b.dirty(&dirty_user) {
+                if full || b.dirty(changed) {
                     b.apply(&mut js.ckt, &ctx)?;
                 }
             }
-            js.rerun(jp, mos_ops, bjt_ops, diode_ops, models, plan.awe_order)?;
+            js.rerun(
+                jp,
+                &self.mos_ops,
+                &self.bjt_ops,
+                &self.diode_ops,
+                &mut self.models,
+                plan.awe_order,
+            )?;
         }
         self.valid = true;
         Ok(())
-    }
-
-    /// `f = G·x − rhs + device currents`, identical arithmetic and
-    /// order to [`crate::cost::kcl_residual`].
-    fn recompute_residual(&mut self) {
-        self.kcl_g.mul_vec_into(&self.x, &mut self.residual);
-        for (fi, r) in self.residual.iter_mut().zip(self.kcl_rhs.iter()) {
-            *fi -= r;
-        }
-        let f = &mut self.residual;
-        for (m, op) in self.bias.mosfets.iter().zip(self.mos_ops.iter()) {
-            if let Some(d) = m.d {
-                f[d] += op.id;
-            }
-            if let Some(s) = m.s {
-                f[s] -= op.id;
-            }
-        }
-        for (q, op) in self.bias.bjts.iter().zip(self.bjt_ops.iter()) {
-            if let Some(c) = q.c {
-                f[c] += op.ic;
-            }
-            if let Some(b) = q.b {
-                f[b] += op.ib;
-            }
-            if let Some(e) = q.e {
-                f[e] -= op.ic + op.ib;
-            }
-        }
-        for (d, op) in self.bias.diodes.iter().zip(self.diode_ops.iter()) {
-            if let Some(a) = d.a {
-                f[a] += op.id;
-            }
-            if let Some(k) = d.k {
-                f[k] -= op.id;
-            }
-        }
     }
 }
 
@@ -1173,7 +1101,7 @@ pub(crate) fn score_slot(
     let ctx = PlanCtx {
         user_names: &bias.user_names,
         user,
-        bias: &slot.bias,
+        bias: slot.bias.circuit(),
         residual: &slot.residual,
         mos_ops: &slot.mos_ops,
         bjt_ops: &slot.bjt_ops,
@@ -1185,7 +1113,7 @@ pub(crate) fn score_slot(
         compiled,
         weights,
         &ctx,
-        &slot.bias.mosfets,
+        &slot.bias.circuit().mosfets,
         &slot.mos_ops,
         &slot.bjt_ops,
         &bias.free_nodes,

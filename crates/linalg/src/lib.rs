@@ -1,10 +1,12 @@
-//! Dense real and complex linear algebra for the astrx-oblx analog
-//! synthesis toolkit.
+//! Real and complex linear algebra for the astrx-oblx analog synthesis
+//! toolkit.
 //!
 //! The circuits handled by ASTRX/OBLX are cell-level (tens of devices, at
-//! most a few hundred MNA unknowns), so a carefully written dense LU with
-//! partial pivoting is both simpler and faster than a sparse package at
-//! this scale. The crate provides:
+//! most a few hundred MNA unknowns). The AWE jigs, refactored on every
+//! move with a fixed pattern, go through the sparse LU; the dense LU
+//! with partial pivoting serves the small or one-off solves (the Newton
+//! move's free-node block, the dc and transient Newton iterations, the
+//! complex ac sweep). The crate provides:
 //!
 //! * [`Complex`] — a minimal `f64`-based complex number,
 //! * [`Mat`] — a dense row-major matrix generic over [`Scalar`]

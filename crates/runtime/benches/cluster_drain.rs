@@ -1,6 +1,6 @@
 //! Cluster drain benchmark: the same job queue drained by one `oblxd`
-//! process and by three `oblxd` processes sharing the spool, written to
-//! `BENCH_cluster.json` at the repo root.
+//! process and by three `oblxd` processes sharing the spool, each drain
+//! printed with its jobs/s.
 //!
 //! This is a plain-main harness (no criterion) because it measures
 //! whole child processes, not functions: it spawns the real `oblxd`
@@ -14,7 +14,6 @@
 //! Run with `cargo bench -p oblx-runtime --bench cluster_drain`.
 
 use astrx_oblx::jobs::JobRequest;
-use astrx_oblx::json::ObjBuilder;
 use astrx_oblx::SynthesisOptions;
 use oblx_runtime::spool::Spool;
 use std::path::{Path, PathBuf};
@@ -132,14 +131,6 @@ fn drain(tag: &str, n_jobs: usize, hosts: usize) -> f64 {
     drain_s
 }
 
-fn repo_root() -> PathBuf {
-    Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("crates/runtime sits two levels below the repo root")
-        .to_path_buf()
-}
-
 fn main() {
     let quick = std::env::var_os("OBLX_BENCH_QUICK").is_some();
     let n_jobs = if quick { 40 } else { 150 };
@@ -158,20 +149,4 @@ fn main() {
         "cluster/shared_spool                     {n_jobs} jobs, {n_hosts} daemons: {:.2} s ({:.1} jobs/s)",
         cluster_s, cluster_rate
     );
-
-    let record = ObjBuilder::new()
-        .field("format", "oblx-bench")
-        .field("version", 1i64)
-        .field("suite", "cluster")
-        .field("workload", "rc lowpass, 60 moves, 1 seed")
-        .field("queue_jobs", i64::try_from(n_jobs).unwrap())
-        .field("hosts", i64::try_from(n_hosts).unwrap())
-        .field("queue_drain_s", cluster_s)
-        .field("queue_jobs_per_s", cluster_rate)
-        .field("single_host_drain_s", single_s)
-        .field("single_host_jobs_per_s", single_rate)
-        .build();
-    let out = repo_root().join("BENCH_cluster.json");
-    std::fs::write(&out, format!("{}\n", record.to_json())).expect("BENCH_cluster.json written");
-    println!("wrote {}", out.display());
 }

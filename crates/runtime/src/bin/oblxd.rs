@@ -224,19 +224,7 @@ fn cmd_run(spool: &Spool, rest: &[&String]) -> ExitCode {
     // The daemon always records telemetry: the per-run overhead is
     // within noise and `status --metrics` depends on the snapshots.
     oblx_telemetry::set_enabled(true);
-    // Quarantine before recover so startup-time corruption is counted
-    // and logged like worker-time corruption, not silently filed away.
-    let mut startup_corrupt = 0usize;
-    for id in spool.quarantine_corrupt() {
-        EventLog::open(spool, &id).emit("job_corrupt", &[]);
-        oblx_telemetry::incr(oblx_telemetry::Counter::JobCorrupt);
-        eprintln!("quarantined corrupt spool entry {id}");
-        startup_corrupt += 1;
-    }
-    for id in spool.recover() {
-        EventLog::open(spool, &id).emit("recovered", &[]);
-        eprintln!("recovered orphaned job {id}");
-    }
+    let startup_corrupt = pool::recover_at_startup(spool);
     let opts = PoolOptions {
         workers: opt(rest, "--workers")
             .and_then(|s| s.parse().ok())

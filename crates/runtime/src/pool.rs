@@ -169,9 +169,30 @@ struct Shared<'a> {
     reaper: Mutex<Reaper>,
 }
 
+/// Startup recovery, which every daemon runs over its spool before
+/// [`run`]: quarantines the entries that do not decode
+/// ([`Spool::quarantine_corrupt`]), logging `job_corrupt` and counting
+/// `JobCorrupt` for each as the pool does for worker-time corruption,
+/// then takes back this host's own leases ([`Spool::recover`]), logging
+/// `recovered` once per job. Both are reported on stderr. Returns the
+/// number of entries quarantined.
+pub fn recover_at_startup(spool: &Spool) -> usize {
+    let corrupt = spool.quarantine_corrupt();
+    for id in &corrupt {
+        EventLog::open(spool, id).emit("job_corrupt", &[]);
+        oblx_telemetry::incr(oblx_telemetry::Counter::JobCorrupt);
+        eprintln!("quarantined corrupt spool entry {id}");
+    }
+    for id in spool.recover() {
+        EventLog::open(spool, &id).emit("recovered", &[]);
+        eprintln!("recovered orphaned job {id}");
+    }
+    corrupt.len()
+}
+
 /// Runs the pool over `spool` until drained (with
 /// [`PoolOptions::drain`]) or until `shutdown` is raised. Call
-/// [`Spool::recover`] first, as every daemon does at startup. Several
+/// [`recover_at_startup`] first, as every daemon does. Several
 /// daemons may run this concurrently over one spool; drain mode waits
 /// for the *whole* spool (including peers' in-flight work, which it
 /// will take over and finish if they die).

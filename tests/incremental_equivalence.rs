@@ -7,9 +7,11 @@
 //!
 //! The deck is an input too: the diff amp alone puts MOS devices on the
 //! plan path, its variant with a junction diode in the tail bias (sized
-//! by `W`, so geometry moves dirty it) adds a diode, and its variant with
-//! a supply-rejection jig puts a fitted analysis and a dc-only one on
-//! one probe.
+//! by `W`, so geometry moves dirty it) adds a diode, its variant with a
+//! supply-rejection jig puts a fitted analysis and a dc-only one on one
+//! probe, and its variant with a load resistor `'R-1k'` fails to
+//! assemble for every R ≤ 1k, partway through the bias bindings, so a
+//! slot whose bias patch failed must recover on its next update.
 
 use astrx_oblx::cost::{CostBreakdown, CostEvaluator};
 use astrx_oblx::{AdaptiveWeights, CompiledProblem};
@@ -22,6 +24,7 @@ fn compiled(deck: &str) -> CompiledProblem {
         "diffamp.ox" => include_str!("../crates/core/src/testdata/diffamp.ox"),
         "diffamp_diode.ox" => include_str!("../crates/core/src/testdata/diffamp_diode.ox"),
         "diffamp_psrr.ox" => include_str!("../crates/core/src/testdata/diffamp_psrr.ox"),
+        "diffamp_rload.ox" => include_str!("../crates/core/src/testdata/diffamp_rload.ox"),
         _ => unreachable!("unknown deck {deck}"),
     };
     astrx_oblx::astrx::compile_source(source).expect("deck compiles")
@@ -60,15 +63,20 @@ fn check_equal(plan: &CostBreakdown, full: &CostBreakdown) -> Result<(), TestCas
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig::with_cases(48))]
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Replay a pseudo-random move sequence through one persistent
-    /// evaluator (exercising its incremental, plan-full and cached
+    /// evaluator (exercising its incremental, full and cached
     /// paths) and cross-check every visited state against the cold
     /// full-rebuild path of a second evaluator.
     #[test]
     fn prop_incremental_matches_full_after_move_sequence(
-        deck in proptest::sample::select(vec!["diffamp.ox", "diffamp_diode.ox", "diffamp_psrr.ox"]),
+        deck in proptest::sample::select(vec![
+            "diffamp.ox",
+            "diffamp_diode.ox",
+            "diffamp_psrr.ox",
+            "diffamp_rload.ox",
+        ]),
         seed in 0u64..10_000,
     ) {
         let c = compiled(deck);
